@@ -146,18 +146,13 @@ inline UnionMicroWorkload BuildUnionMicroWorkload() {
 
 /// One worker's exact-weight samplers over the workload's prebuilt weight
 /// indexes: per-worker construction is O(1), so the sampler setup inside
-/// a timed Sample() call doesn't grow with the thread count. `columnar`
-/// false forces the row-oriented reference path (CDF draws over encoded
-/// key probes) — the anchor the CI perf gate measures the columnar
-/// speedup against.
+/// a timed Sample() call doesn't grow with the thread count.
 inline UnionSampler::JoinSamplerFactory UnionMicroEwFactory(
-    UnionMicroWorkload* w, bool columnar = true) {
-  return [w, columnar]() -> Result<std::vector<std::unique_ptr<JoinSampler>>> {
-    ExactWeightSampler::Options options;
-    options.columnar = columnar;
+    UnionMicroWorkload* w) {
+  return [w]() -> Result<std::vector<std::unique_ptr<JoinSampler>>> {
     std::vector<std::unique_ptr<JoinSampler>> out;
     for (const auto& index : w->weight_indexes) {
-      auto sampler = ExactWeightSampler::Create(index, options);
+      auto sampler = ExactWeightSampler::Create(index);
       if (!sampler.ok()) return sampler.status();
       out.push_back(std::move(*sampler));
     }

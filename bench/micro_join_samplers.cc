@@ -58,24 +58,6 @@ void BM_ExactWeightSample(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactWeightSample)->Arg(5)->Arg(10)->Arg(20);
 
-// Row-oriented reference path: CDF binary search at the root, encoded
-// Tuple key probes + CDF scans per level.
-void BM_ExactWeightSampleRowPath(benchmark::State& state) {
-  JoinSpecPtr join = ChainJoin(state.range(0) / 10.0);
-  CompositeIndexCache cache;
-  ExactWeightSampler::Options options;
-  options.columnar = false;
-  auto sampler =
-      Unwrap(ExactWeightSampler::Create(join, &cache, options), "EW row");
-  Rng rng(1);
-  for (auto _ : state) {
-    auto t = sampler->TrySample(rng);
-    benchmark::DoNotOptimize(t);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ExactWeightSampleRowPath)->Arg(5)->Arg(10)->Arg(20);
-
 // Level-synchronous batched columnar walks with software prefetch across
 // in-flight walks (ExactWeightSampler::TrySampleBatch).
 void BM_ExactWeightSampleBatch(benchmark::State& state) {
@@ -186,31 +168,6 @@ void BM_UnionSampleSequentialMetricsOff(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kDraw));
 }
 BENCHMARK(BM_UnionSampleSequentialMetricsOff)->UseRealTime();
-
-// Same sequential loop over ROW-ORIENTED exact-weight samplers (columnar
-// descent disabled): the anchor for the columnar speedup. The CI perf
-// gate asserts the columnar row above stays >= 1.5x faster than this
-// (same-run comparison; see .github/workflows/ci.yml).
-void BM_UnionSampleSequentialRowOriented(benchmark::State& state) {
-  UnionMicroWorkload& f = UnionSetup();
-  UnionSampler::Options opts;
-  opts.mode = UnionSampler::Mode::kMembershipOracle;
-  auto sampler = Unwrap(
-      UnionSampler::Create(
-          f.joins,
-          Unwrap(UnionMicroEwFactory(&f, /*columnar=*/false)(), "EW row"),
-          f.estimates, f.probers, opts),
-      "union sampler");
-  Rng rng(11);
-  const size_t kDraw = 4096;
-  for (auto _ : state) {
-    auto samples = sampler->Sample(kDraw, rng);
-    UnwrapStatus(samples.ok() ? Status::OK() : samples.status(), "sample");
-    benchmark::DoNotOptimize(samples);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kDraw));
-}
-BENCHMARK(BM_UnionSampleSequentialRowOriented)->UseRealTime();
 
 // Batched executor path at 1..8 worker threads. Real time (not CPU time):
 // the pool burns CPU on every core; wall clock is the quantity that scales.
@@ -359,9 +316,11 @@ ShardedUnionSetup& ShardedUnionAt(int shards) {
 }
 
 // Oracle-mode union draws through the shard coordinator's routed
-// samplers at 1/2/4 shards. Sharded descent always takes the row path,
-// so the routing overhead anchor is BM_UnionSampleSequentialRowOriented
-// (and the 1-shard row isolates coordinator dispatch from fan-out).
+// samplers at 1/2/4 shards. Routed draws run the same columnar descent as
+// BM_UnionSampleSequential (one alias root draw over the concatenated
+// shard root weights, then the owning shard's descent), so that row is the
+// routing overhead anchor; the 1-shard row isolates coordinator dispatch
+// from fan-out.
 void BM_UnionSampleSharded(benchmark::State& state) {
   ShardedUnionSetup& s = ShardedUnionAt(static_cast<int>(state.range(0)));
   UnionSampler::Options opts;

@@ -10,8 +10,7 @@
 // structurally unreachable: their acceptance probability is exactly 0 and
 // their alias always points at a positive-weight entry, so the
 // exact-weight guarantee cannot be violated by boundary clamping the way
-// a CDF search can (see ResolveCumulativeDraw in join/exact_weight.h for
-// the CDF path's fix).
+// a CDF search's `u * total` rounding up to `total` can.
 
 #ifndef SUJ_COMMON_ALIAS_TABLE_H_
 #define SUJ_COMMON_ALIAS_TABLE_H_

@@ -25,24 +25,6 @@ std::vector<int> ColumnIndexes(const Relation& rel,
 
 }  // namespace
 
-size_t ResolveCumulativeDraw(const std::vector<double>& cumulative,
-                             const std::vector<double>& weights, double x) {
-  size_t i = static_cast<size_t>(
-      std::upper_bound(cumulative.begin(), cumulative.end(), x) -
-      cumulative.begin());
-  // upper_bound can only land on a positive-weight row: a zero-weight row
-  // shares its cumulative value with its predecessor, so it is never the
-  // FIRST entry exceeding x.
-  if (i < cumulative.size()) return i;
-  // x >= cumulative.back(): u * total rounded up to total. The old clamp
-  // returned the last ROW here, which may have zero weight; resolve to the
-  // last positive-weight row instead.
-  for (i = weights.size(); i > 0;) {
-    if (weights[--i] > 0.0) return i;
-  }
-  return 0;  // all-zero weights; callers guard on total > 0 before drawing
-}
-
 Result<std::shared_ptr<const ExactWeightIndex>> ExactWeightIndex::Build(
     JoinSpecPtr join, CompositeIndexCache* cache) {
   if (join == nullptr) return Status::InvalidArgument("null join");
@@ -55,13 +37,13 @@ Result<std::shared_ptr<const ExactWeightIndex>> ExactWeightIndex::Build(
   const int n = spec.num_relations();
 
   index->weights_.resize(n);
-  index->child_indexes_.resize(n);
+  std::vector<CompositeIndexPtr> child_indexes(n);
   for (int r = 0; r < n; ++r) {
     if (graph.tree_parent()[r] >= 0) {
       auto built =
           cache->GetOrBuild(spec.relation(r), graph.tree_edge_attrs()[r]);
       if (!built.ok()) return built.status();
-      index->child_indexes_[r] = std::move(built).value();
+      child_indexes[r] = std::move(built).value();
     }
   }
 
@@ -97,25 +79,19 @@ Result<std::shared_ptr<const ExactWeightIndex>> ExactWeightIndex::Build(
     }
   }
 
-  // Root cumulative weights for O(log n) sampling on the row path.
   int root = graph.tree_order().empty() ? 0 : graph.tree_order()[0];
-  const auto& root_w = index->weights_[root];
-  index->root_cumulative_.resize(root_w.size());
-  double running = 0.0;
-  for (size_t i = 0; i < root_w.size(); ++i) {
-    running += root_w[i];
-    index->root_cumulative_[i] = running;
-  }
-  index->total_weight_ = running;
+  for (double w : index->weights_[root]) index->total_weight_ += w;
   index->exact_ =
       graph.tree_captures_all_constraints() && !spec.has_predicates();
 
-  Status columnar = index->BuildColumnar(cache);
+  Status columnar = index->BuildColumnar(child_indexes, cache);
   if (!columnar.ok()) return columnar;
   return std::shared_ptr<const ExactWeightIndex>(index);
 }
 
-Status ExactWeightIndex::BuildColumnar(CompositeIndexCache* cache) {
+Status ExactWeightIndex::BuildColumnar(
+    const std::vector<CompositeIndexPtr>& child_indexes,
+    CompositeIndexCache* cache) {
   const JoinSpec& spec = *join_;
   const JoinGraph& graph = spec.graph();
   const Schema& out_schema = spec.output_schema();
@@ -124,12 +100,14 @@ Status ExactWeightIndex::BuildColumnar(CompositeIndexCache* cache) {
 
   // Materialization plan: in tree order, the first relation carrying an
   // output field writes it; later carriers only check it (and only cyclic
-  // trees ever need those checks evaluated).
+  // trees ever need those checks evaluated). A child's group is probed
+  // from its parent's row even when the parent is not an edge attribute's
+  // first assigner: tree edge attributes are exactly those parent and
+  // child share, so the parent's checks() reject any walk whose parent
+  // value disagrees with the assigned one.
   writes_.assign(n, {});
   checks_.assign(n, {});
   std::vector<bool> assigned(out_schema.num_fields(), false);
-  // first_assigner[out field] = relation that writes it.
-  std::vector<int> first_assigner(out_schema.num_fields(), -1);
   for (int r : order) {
     const Schema& rel_schema = spec.relation(r)->schema();
     for (size_t c = 0; c < rel_schema.num_fields(); ++c) {
@@ -139,7 +117,6 @@ Status ExactWeightIndex::BuildColumnar(CompositeIndexCache* cache) {
                                  static_cast<uint16_t>(out_idx));
       if (!assigned[out_idx]) {
         assigned[out_idx] = true;
-        first_assigner[out_idx] = r;
         writes_[r].push_back(pair);
       } else {
         checks_[r].push_back(pair);
@@ -148,23 +125,6 @@ Status ExactWeightIndex::BuildColumnar(CompositeIndexCache* cache) {
   }
 
   if (total_weight_ <= 0.0) return Status::OK();  // nothing samplable
-
-  // The columnar descent probes a child's group straight from the PARENT
-  // row, which matches the row path's assignment-based probe iff each
-  // probe attribute's assignment value is the parent's value: guaranteed
-  // when the tree captures all constraints, and otherwise only when the
-  // parent is the attribute's first assigner.
-  if (!graph.tree_captures_all_constraints()) {
-    for (int r = 0; r < n; ++r) {
-      if (graph.tree_parent()[r] < 0) continue;
-      for (const auto& a : graph.tree_edge_attrs()[r]) {
-        int out_idx = out_schema.FieldIndex(a);
-        if (first_assigner[out_idx] != graph.tree_parent()[r]) {
-          return Status::OK();  // row path only for this join
-        }
-      }
-    }
-  }
 
   const int root = order.empty() ? 0 : order[0];
   auto root_alias = AliasTable::Build(weights_[root]);
@@ -176,7 +136,7 @@ Status ExactWeightIndex::BuildColumnar(CompositeIndexCache* cache) {
   for (int r = 0; r < n; ++r) {
     const int parent = graph.tree_parent()[r];
     if (parent < 0) continue;
-    const CompositeIndexPtr& child_index = child_indexes_[r];
+    const CompositeIndexPtr& child_index = child_indexes[r];
     auto probe = cache->GetOrBuildProbe(child_index, spec.relation(parent));
     if (!probe.ok()) return probe.status();
 
@@ -203,31 +163,35 @@ Status ExactWeightIndex::BuildColumnar(CompositeIndexCache* cache) {
       edge.offsets[g + 1] = static_cast<uint32_t>(edge.rows.size());
     }
   }
-  columnar_ready_ = true;
   return Status::OK();
 }
 
 Result<std::unique_ptr<ExactWeightSampler>> ExactWeightSampler::Create(
-    JoinSpecPtr join, CompositeIndexCache* cache, Options options) {
+    JoinSpecPtr join, CompositeIndexCache* cache) {
   auto weights = ExactWeightIndex::Build(join, cache);
   if (!weights.ok()) return weights.status();
-  return Create(std::move(weights).value(), options);
+  return Create(std::move(weights).value());
 }
 
 Result<std::unique_ptr<ExactWeightSampler>> ExactWeightSampler::Create(
-    ExactWeightIndexPtr weights, Options options) {
+    ExactWeightIndexPtr weights) {
   if (weights == nullptr) return Status::InvalidArgument("null weight index");
   JoinSpecPtr join = weights->join();
-  const bool columnar = options.columnar && weights->columnar_ready();
-  auto sampler = std::unique_ptr<ExactWeightSampler>(new ExactWeightSampler(
-      std::move(join), std::move(weights), columnar));
+  auto sampler = std::unique_ptr<ExactWeightSampler>(
+      new ExactWeightSampler(std::move(join), std::move(weights)));
   sampler->need_checks_ =
       !sampler->join_->graph().tree_captures_all_constraints();
   return sampler;
 }
 
 std::optional<Tuple> ExactWeightSampler::TrySample(Rng& rng) {
-  return columnar_ ? TrySampleColumnar(rng) : TrySampleRow(rng);
+  if (weights_->TotalWeight() <= 0.0) {
+    ++stats_.attempts;
+    ++stats_.dead_ends;
+    return std::nullopt;
+  }
+  return DescendColumnar(
+      static_cast<uint32_t>(weights_->root_alias().Sample(rng)), rng);
 }
 
 std::optional<Tuple> ExactWeightSampler::Materialize(const uint32_t* chosen,
@@ -260,20 +224,16 @@ std::optional<Tuple> ExactWeightSampler::Materialize(const uint32_t* chosen,
   return out;
 }
 
-std::optional<Tuple> ExactWeightSampler::TrySampleColumnar(Rng& rng) {
+std::optional<Tuple> ExactWeightSampler::DescendColumnar(uint32_t root_row,
+                                                         Rng& rng) {
   ++stats_.attempts;
-  if (weights_->TotalWeight() <= 0.0) {
-    ++stats_.dead_ends;
-    return std::nullopt;
-  }
   const JoinGraph& graph = join_->graph();
   const auto& order = graph.tree_order();
   const size_t n = order.size();
 
   uint32_t chosen[64];
   SUJ_CHECK(n <= 64);
-  chosen[order[0]] =
-      static_cast<uint32_t>(weights_->root_alias().Sample(rng));
+  chosen[order[0]] = root_row;
   for (size_t pos = 1; pos < n; ++pos) {
     const int r = order[pos];
     const auto& edge = weights_->columnar_edge(r);
@@ -286,8 +246,7 @@ std::optional<Tuple> ExactWeightSampler::TrySampleColumnar(Rng& rng) {
     const uint32_t begin = edge.offsets[g];
     const uint32_t len = edge.offsets[g + 1] - begin;
     if (len == 0) {
-      // All candidate rows carry zero weight (pruned subtree): a dead end,
-      // exactly like a zero CDF sum on the row path.
+      // All candidate rows carry zero weight (pruned subtree): a dead end.
       ++stats_.dead_ends;
       return std::nullopt;
     }
@@ -300,7 +259,7 @@ std::optional<Tuple> ExactWeightSampler::TrySampleColumnar(Rng& rng) {
 size_t ExactWeightSampler::TrySampleBatch(size_t count, Rng& rng,
                                           std::vector<Tuple>* out) {
   size_t appended = 0;
-  if (!columnar_ || count < 2) {
+  if (count < 2) {
     for (size_t i = 0; i < count; ++i) {
       auto t = TrySample(rng);
       if (t.has_value()) {
@@ -394,117 +353,6 @@ size_t ExactWeightSampler::TrySampleBatch(size_t count, Rng& rng,
     }
   }
   return appended;
-}
-
-std::optional<Tuple> ExactWeightSampler::TrySampleRow(Rng& rng) {
-  ++stats_.attempts;
-  const JoinGraph& graph = join_->graph();
-  const double total = weights_->TotalWeight();
-  if (total <= 0.0) {
-    ++stats_.dead_ends;
-    return std::nullopt;
-  }
-
-  // Root draw: binary search the cumulative weight array. The draw lies in
-  // [0, total); ResolveCumulativeDraw keeps the floating-point boundary
-  // case off zero-weight tail rows.
-  int root = graph.tree_order()[0];
-  size_t root_row =
-      ResolveCumulativeDraw(weights_->root_cumulative(),
-                            weights_->weights(root),
-                            rng.UniformDouble() * total);
-  return DescendRow(static_cast<uint32_t>(root_row), rng);
-}
-
-std::optional<Tuple> ExactWeightSampler::TrySampleRowFromRoot(
-    uint32_t root_row, Rng& rng) {
-  ++stats_.attempts;
-  return DescendRow(root_row, rng);
-}
-
-std::optional<Tuple> ExactWeightSampler::DescendRow(uint32_t root_row,
-                                                    Rng& rng) {
-  const JoinSpec& spec = *join_;
-  const JoinGraph& graph = spec.graph();
-  const Schema& out_schema = spec.output_schema();
-  std::vector<Value> assignment(out_schema.num_fields());
-  std::vector<bool> assigned(out_schema.num_fields(), false);
-
-  // Applies relation r's chosen row to the assignment; false on conflict
-  // with an already-assigned attribute (possible only for cyclic joins).
-  auto apply_row = [&](int r, uint32_t row) -> bool {
-    const Relation& rel = *spec.relation(r);
-    for (size_t c = 0; c < rel.schema().num_fields(); ++c) {
-      int out_idx = out_schema.FieldIndex(rel.schema().field(c).name);
-      SUJ_DCHECK(out_idx >= 0);
-      Value v = rel.GetValue(row, c);
-      if (assigned[out_idx]) {
-        if (!(assignment[out_idx] == v)) return false;
-      } else {
-        assignment[out_idx] = std::move(v);
-        assigned[out_idx] = true;
-      }
-    }
-    return true;
-  };
-
-  const auto& order = graph.tree_order();
-  if (!apply_row(order[0], root_row)) {
-    ++stats_.rejections;
-    return std::nullopt;
-  }
-
-  // Descend the tree; parents appear before children in tree_order.
-  for (size_t pos = 1; pos < order.size(); ++pos) {
-    int r = order[pos];
-    const auto& edge_attrs = graph.tree_edge_attrs()[r];
-    // Probe key from the current assignment (parent already applied).
-    std::vector<Value> key_values;
-    key_values.reserve(edge_attrs.size());
-    for (const auto& a : edge_attrs) {
-      int idx = out_schema.FieldIndex(a);
-      SUJ_DCHECK(idx >= 0 && assigned[idx]);
-      key_values.push_back(assignment[idx]);
-    }
-    const RowSpan candidates = weights_->child_index(r)->LookupEncoded(
-        Tuple(std::move(key_values)).Encode());
-    if (candidates.empty()) {
-      // Cannot happen when weights are exact (the parent row would have
-      // weight 0); defensively treat as a dead end.
-      ++stats_.dead_ends;
-      return std::nullopt;
-    }
-    const auto& w = weights_->weights(r);
-    double wsum = 0.0;
-    for (uint32_t row : candidates) wsum += w[row];
-    if (wsum <= 0.0) {
-      ++stats_.dead_ends;
-      return std::nullopt;
-    }
-    double y = rng.UniformDouble() * wsum;
-    // The boundary case y >= wsum (rounding) must resolve to a positive-
-    // weight candidate, not blindly to the last one.
-    uint32_t chosen = candidates.back();
-    double acc = 0.0;
-    for (uint32_t row : candidates) {
-      if (w[row] <= 0.0) continue;
-      chosen = row;  // last positive-weight candidate seen (the fallback)
-      acc += w[row];
-      if (y < acc) break;
-    }
-    if (!apply_row(r, chosen)) {
-      ++stats_.rejections;  // non-tree constraint violated (cyclic join)
-      return std::nullopt;
-    }
-  }
-
-  Tuple out(std::move(assignment));
-  if (!spec.SatisfiesPredicates(out)) {
-    ++stats_.rejections;
-    return std::nullopt;
-  }
-  ++stats_.successes;
-  return out;
 }
 
 }  // namespace suj

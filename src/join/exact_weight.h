@@ -12,15 +12,15 @@
 // the non-tree equalities rejects invalid assignments, preserving
 // uniformity at the cost of a rejection rate.
 //
-// Two sampling paths share the weight index:
-//  * the row path probes composite indexes with encoded key tuples and
-//    CDF-scans candidate weights (the original implementation, kept as the
-//    reference/benchmark anchor);
-//  * the columnar path (default when available) resolves every probe
-//    through flat integer arrays built at index-build time — parent row id
-//    -> child group id -> alias-table draw -> child row id — so a whole
-//    walk touches no Tuple, no Value, no string, and no hash table, and
-//    every weighted draw is O(1).
+// Sampling is one columnar descent: every probe resolves through flat
+// integer arrays built at index-build time — parent row id -> child group
+// id -> alias-table draw -> child row id — so a whole walk touches no
+// Tuple, no Value, no string, and no hash table, and every weighted draw
+// is O(1). A child's group is probed from its tree parent's row. For
+// cyclic joins the parent may not be the first relation to assign an
+// edge attribute; a parent value that disagrees with the assigned one is
+// rejected when the walk is materialized (checks()), so every accepted
+// walk probed with the assigned value.
 
 #ifndef SUJ_JOIN_EXACT_WEIGHT_H_
 #define SUJ_JOIN_EXACT_WEIGHT_H_
@@ -36,15 +36,6 @@
 #include "join/join_sampler.h"
 
 namespace suj {
-
-/// Resolves a CDF draw `x` in [0, total] against cumulative weights.
-/// Returns upper_bound(cumulative, x), except that a draw at/above the
-/// final cumulative value (possible when `x = u * total` rounds up to
-/// `total`) resolves to the LAST POSITIVE-WEIGHT row instead of being
-/// clamped onto a possibly zero-weight tail row. `weights[i]` must be the
-/// per-row weights whose prefix sums are `cumulative`.
-size_t ResolveCumulativeDraw(const std::vector<double>& cumulative,
-                             const std::vector<double>& weights, double x);
 
 /// \brief Precomputed per-row exact weights over the join's spanning tree.
 class ExactWeightIndex {
@@ -68,27 +59,16 @@ class ExactWeightIndex {
     return weights_[relation];
   }
 
-  /// Composite index of relation r on its tree-edge attributes (null for
-  /// the root).
-  const CompositeIndexPtr& child_index(int relation) const {
-    return child_indexes_[relation];
-  }
-
-  /// Cumulative weights of the root relation's rows (for O(log n) root
-  /// draws by binary search on the row path).
-  const std::vector<double>& root_cumulative() const {
-    return root_cumulative_;
-  }
-
   /// \brief Flat-array descent plan for one tree edge (child relation r).
   ///
-  /// `parent_probe` maps a parent row id to r's group id in child_index(r)
-  /// (kNoGroup for dangling parents). Groups are re-sliced to POSITIVE-
-  /// weight rows only: group g's candidate rows are
+  /// `parent_probe` maps a parent row id to r's group id in r's composite
+  /// index on its tree-edge attributes (kNoGroup for dangling parents).
+  /// Groups are re-sliced to POSITIVE-weight rows only: group g's
+  /// candidate rows are
   /// rows[offsets[g] .. offsets[g+1]) with a matching alias-table slice at
   /// the same offsets, so a weighted child draw is one alias lookup and one
   /// array read. A group whose rows all have zero weight is an empty slice
-  /// (a dead end, exactly like a zero CDF sum on the row path).
+  /// (a dead end).
   struct ColumnarEdge {
     ProbeArrayPtr parent_probe;
     std::vector<uint32_t> offsets;
@@ -96,14 +76,9 @@ class ExactWeightIndex {
     FlatAliasGroups alias;
   };
 
-  /// True iff the columnar descent plan was built. Requires every probe
-  /// attribute to be resolvable from the parent row alone, which holds for
-  /// all tree-consistent joins (and is re-derived per edge for cyclic
-  /// ones); when false, samplers use the row path.
-  bool columnar_ready() const { return columnar_ready_; }
-  /// O(1) root draw over root-row weights (valid iff columnar_ready()).
+  /// O(1) root draw over root-row weights (valid iff TotalWeight() > 0).
   const AliasTable& root_alias() const { return root_alias_; }
-  /// Descent plan of non-root relation r (valid iff columnar_ready()).
+  /// Descent plan of non-root relation r (valid iff TotalWeight() > 0).
   const ColumnarEdge& columnar_edge(int relation) const {
     return columnar_edges_[relation];
   }
@@ -124,16 +99,15 @@ class ExactWeightIndex {
  private:
   explicit ExactWeightIndex(JoinSpecPtr join) : join_(std::move(join)) {}
 
-  Status BuildColumnar(CompositeIndexCache* cache);
+  /// `child_indexes[r]` is r's composite index on its tree-edge
+  /// attributes (null for the root).
+  Status BuildColumnar(const std::vector<CompositeIndexPtr>& child_indexes,
+                       CompositeIndexCache* cache);
 
   JoinSpecPtr join_;
   double total_weight_ = 0.0;
   bool exact_ = true;
   std::vector<std::vector<double>> weights_;
-  std::vector<CompositeIndexPtr> child_indexes_;
-  std::vector<double> root_cumulative_;
-
-  bool columnar_ready_ = false;
   AliasTable root_alias_;
   std::vector<ColumnarEdge> columnar_edges_;
   std::vector<std::vector<std::pair<uint16_t, uint16_t>>> writes_;
@@ -142,26 +116,14 @@ class ExactWeightIndex {
 
 using ExactWeightIndexPtr = std::shared_ptr<const ExactWeightIndex>;
 
-/// Options for ExactWeightSampler (namespace-scope so it can serve as a
-/// default argument inside the class).
-struct ExactWeightSamplerOptions {
-  /// Use the columnar descent when the index provides it. The row path
-  /// remains available as the reference implementation; both paths
-  /// produce uniform samples but consume the RNG differently, so a given
-  /// byte stream is reproducible only within one path.
-  bool columnar = true;
-};
-
 /// \brief Uniform join sampler driven by exact weights.
 class ExactWeightSampler : public JoinSampler {
  public:
-  using Options = ExactWeightSamplerOptions;
-
   /// Builds the weight index (or reuses a prebuilt one) and the sampler.
   static Result<std::unique_ptr<ExactWeightSampler>> Create(
-      JoinSpecPtr join, CompositeIndexCache* cache, Options options = Options());
+      JoinSpecPtr join, CompositeIndexCache* cache);
   static Result<std::unique_ptr<ExactWeightSampler>> Create(
-      ExactWeightIndexPtr weights, Options options = Options());
+      ExactWeightIndexPtr weights);
 
   std::optional<Tuple> TrySample(Rng& rng) override;
 
@@ -171,35 +133,26 @@ class ExactWeightSampler : public JoinSampler {
   /// successful tuples to `out`. Returns the number appended. Consumes the
   /// RNG in level-major order, so a batch's output is a pure function of
   /// (rng state, count) but differs from `count` sequential TrySample
-  /// calls. Falls back to a TrySample loop on the row path.
+  /// calls.
   size_t TrySampleBatch(size_t count, Rng& rng, std::vector<Tuple>* out);
 
-  /// Row-path descent from an externally chosen root row: applies
-  /// `root_row` of the tree root and samples the remaining relations with
-  /// exactly the RNG consumption TrySample's row path has after its root
-  /// draw. Shard routers resolve the root draw against a global cumulative
-  /// array and delegate here, which is what keeps sharded output
-  /// byte-identical to the unsharded row path.
-  std::optional<Tuple> TrySampleRowFromRoot(uint32_t root_row, Rng& rng);
+  /// One attempt below an externally chosen root row (requires
+  /// TotalWeight() > 0 and a positive-weight `root_row`): samples the
+  /// remaining relations with exactly the RNG consumption TrySample has
+  /// after its root alias draw. Shard routers draw the root from one
+  /// alias table over the concatenated shard root weights and delegate
+  /// here, which keeps sharded output byte-identical to the unsharded
+  /// sampler.
+  std::optional<Tuple> DescendColumnar(uint32_t root_row, Rng& rng);
 
   double SizeUpperBound() const override { return weights_->TotalWeight(); }
 
   const ExactWeightIndexPtr& weight_index() const { return weights_; }
-  /// True iff this sampler draws through the columnar plan.
-  bool columnar() const { return columnar_; }
 
  private:
-  ExactWeightSampler(JoinSpecPtr join, ExactWeightIndexPtr weights,
-                     bool columnar)
-      : JoinSampler(std::move(join)),
-        weights_(std::move(weights)),
-        columnar_(columnar) {}
+  ExactWeightSampler(JoinSpecPtr join, ExactWeightIndexPtr weights)
+      : JoinSampler(std::move(join)), weights_(std::move(weights)) {}
 
-  std::optional<Tuple> TrySampleRow(Rng& rng);
-  std::optional<Tuple> TrySampleColumnar(Rng& rng);
-  /// Shared body of TrySampleRow / TrySampleRowFromRoot: the tree descent
-  /// below an already-resolved root row.
-  std::optional<Tuple> DescendRow(uint32_t root_row, Rng& rng);
   /// Materializes one walk's chosen rows into an output tuple; the row of
   /// relation r is `chosen[r * stride + offset]` (stride 1 for a single
   /// walk, the batch width for batched walks). Returns nullopt on a
@@ -208,7 +161,6 @@ class ExactWeightSampler : public JoinSampler {
                                    size_t offset);
 
   ExactWeightIndexPtr weights_;
-  bool columnar_ = false;
   bool need_checks_ = false;
   // Scratch reused across TrySampleBatch calls (sized on first use).
   std::vector<uint32_t> batch_rows_;   // [relation * count + walk]

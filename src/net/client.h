@@ -99,6 +99,15 @@ class SujClient {
   /// response of unexpected type is a protocol violation (Internal).
   Result<Frame> Call(MessageType type, const std::string& body,
                      MessageType expected);
+  /// Call, then decode the response body as `Response`.
+  template <typename Response>
+  Result<Response> CallDecoded(MessageType type, const std::string& body,
+                               MessageType expected);
+  /// Closes the connection and returns `status`. Used on every framing,
+  /// decode, or protocol error: the stream position is then unknown, and
+  /// a later call would read leftover frame bytes as a length prefix.
+  /// Calls after that return kUnavailable.
+  Status Broken(Status status);
 
   TcpConn conn_;
   Options options_;

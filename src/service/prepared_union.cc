@@ -188,7 +188,6 @@ Result<std::shared_ptr<const PreparedUnion>> PreparedUnion::Build(
   auto plan = std::shared_ptr<PreparedUnion>(
       new PreparedUnion(std::move(name), plan_id, std::move(joins)));
   plan->index_cache_ = std::make_shared<CompositeIndexCache>();
-  plan->columnar_samplers_ = options.columnar_samplers;
   plan->options_ = options;
   plan->base_joins_ = plan->joins_;  // pre-canonical: delta targets
   plan->family_latest_ = std::make_shared<std::atomic<uint64_t>>(0);
@@ -348,7 +347,6 @@ Result<std::shared_ptr<const PreparedUnion>> PreparedUnion::ApplyDelta(
   auto plan = std::shared_ptr<PreparedUnion>(
       new PreparedUnion(prev->name_, prev->plan_id_, std::move(base_joins)));
   plan->index_cache_ = std::make_shared<CompositeIndexCache>();
-  plan->columnar_samplers_ = options.columnar_samplers;
   plan->options_ = options;
   plan->base_joins_ = plan->joins_;
   plan->data_epoch_ = prev->data_epoch_ + 1;
@@ -553,10 +551,8 @@ UnionSampler::JoinSamplerFactory PreparedUnion::MakeJoinSamplerFactory()
   return [this]() -> Result<std::vector<std::unique_ptr<JoinSampler>>> {
     std::vector<std::unique_ptr<JoinSampler>> out;
     out.reserve(weight_indexes_.size());
-    ExactWeightSampler::Options sampler_options;
-    sampler_options.columnar = columnar_samplers_;
     for (const auto& index : weight_indexes_) {
-      auto sampler = ExactWeightSampler::Create(index, sampler_options);
+      auto sampler = ExactWeightSampler::Create(index);
       if (!sampler.ok()) return sampler.status();
       out.push_back(std::move(*sampler));
     }

@@ -76,11 +76,6 @@ struct PreparedQueryOptions {
   /// plan's output is byte-identical at every shard count (for fixed
   /// virtual_partitions).
   ShardOptions shard;
-  /// Use the columnar descent for unsharded exact-weight samplers. The
-  /// row path is the sharding reference; tests comparing a sharded plan
-  /// against an unsharded one byte-for-byte set this false on the
-  /// reference plan (sharded plans always sample the row path).
-  bool columnar_samplers = true;
 };
 
 /// \brief One accepted query: joins + estimates + shared sampling state.
@@ -184,7 +179,6 @@ class PreparedUnion {
   std::shared_ptr<CompositeIndexCache> index_cache_;
   std::vector<ExactWeightIndexPtr> weight_indexes_;
   ShardCoordinatorPtr shards_;
-  bool columnar_samplers_ = true;
   std::vector<std::string> standard_template_;
   double build_seconds_ = 0.0;
   size_t approx_memory_bytes_ = 0;

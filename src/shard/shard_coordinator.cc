@@ -203,9 +203,8 @@ Status ShardCoordinator::RefreshWeights() {
   std::vector<double> weights(k, 0.0);
   double global = 0.0;
   for (const auto& index : join_indexes_) {
-    const std::vector<double>& boundary = index->weight_boundary();
     for (int s = 0; s < k; ++s) {
-      weights[s] += boundary[s + 1] - boundary[s];
+      weights[s] += index->shard_weights(s)->TotalWeight();
     }
     global += index->TotalWeight();
   }

@@ -33,43 +33,29 @@ Result<std::shared_ptr<const ShardedJoinIndex>> ShardedJoinIndex::Build(
   const ShardedJoinPlan& jp = index->join_plan();
   const int k = static_cast<int>(jp.shard_specs.size());
   index->total_rows_ = jp.canonical->relation(jp.root)->num_rows();
-  index->weight_boundary_.assign(1, 0.0);
   index->shard_weights_.reserve(k);
-  index->global_cumulative_.reserve(k);
+  // Shard s's root rows are canonical rows [row_begin[s], row_begin[s+1]),
+  // so concatenating shard root weights in shard order yields the
+  // canonical root weights in canonical order.
+  std::vector<double> root_weights;
+  root_weights.reserve(index->total_rows_);
   for (int s = 0; s < k; ++s) {
     auto weights = ExactWeightIndex::Build(jp.shard_specs[s], cache);
     if (!weights.ok()) return weights.status();
     const ExactWeightIndexPtr& w =
         index->shard_weights_.emplace_back(std::move(weights).value());
     index->exact_ = index->exact_ && w->exact();
-    // EW weights are integer-valued (join/skeleton counts), so B[s] and
-    // every global cumulative entry is an exact integer sum: the global
-    // arrays are bit-identical to the canonical index's root cumulative.
-    const double base = index->weight_boundary_.back();
-    std::vector<double> global_cum;
-    global_cum.reserve(w->root_cumulative().size());
-    for (double c : w->root_cumulative()) global_cum.push_back(base + c);
-    index->global_cumulative_.push_back(std::move(global_cum));
-    index->weight_boundary_.push_back(base + w->TotalWeight());
+    const auto& local = w->weights(w->join()->graph().tree_order()[0]);
+    root_weights.insert(root_weights.end(), local.begin(), local.end());
+  }
+  // Summed in canonical row order, as ExactWeightIndex::Build sums them.
+  for (double w : root_weights) index->total_weight_ += w;
+  if (index->total_weight_ > 0.0) {
+    auto alias = AliasTable::Build(root_weights);
+    if (!alias.ok()) return alias.status();
+    index->root_alias_ = std::move(alias).value();
   }
   return std::shared_ptr<const ShardedJoinIndex>(index);
-}
-
-int ShardedJoinIndex::RouteWeight(double x) const {
-  const int k = num_shards();
-  int s = static_cast<int>(
-      std::upper_bound(weight_boundary_.begin() + 1, weight_boundary_.end(),
-                       x) -
-      (weight_boundary_.begin() + 1));
-  if (s >= k) {
-    // x at/above B[K] (a draw u * total that rounded up to total): resolve
-    // to the last shard with positive total, mirroring the tail rule of
-    // ResolveCumulativeDraw so the routed row equals the unrouted one.
-    for (s = k - 1;
-         s > 0 && weight_boundary_[s + 1] <= weight_boundary_[s]; --s) {
-    }
-  }
-  return s;
 }
 
 int ShardedJoinIndex::RouteRow(uint64_t global_row, uint32_t* local_row) const {
@@ -88,9 +74,7 @@ Result<std::unique_ptr<ShardedJoinSampler>> ShardedJoinSampler::Create(
       new ShardedJoinSampler(index->join(), index));
   const int k = index->num_shards();
   for (int s = 0; s < k; ++s) {
-    ExactWeightSampler::Options options;
-    options.columnar = false;  // the row path is the sharding reference
-    auto inner = ExactWeightSampler::Create(index->shard_weights(s), options);
+    auto inner = ExactWeightSampler::Create(index->shard_weights(s));
     if (!inner.ok()) return inner.status();
     sampler->shard_samplers_.push_back(std::move(inner).value());
   }
@@ -108,28 +92,21 @@ Result<std::unique_ptr<ShardedJoinSampler>> ShardedJoinSampler::Create(
 
 std::optional<Tuple> ShardedJoinSampler::TrySample(Rng& rng) {
   ++stats_.attempts;
-  const double total = index_->TotalWeight();
-  if (total <= 0.0) {
+  if (index_->TotalWeight() <= 0.0) {
     ++stats_.dead_ends;
     return std::nullopt;
   }
   const bool timed = obs::MetricsEnabled();
   const int64_t start_ns = timed ? obs::MonotonicNs() : 0;
-  // Same draw as the unsharded row path: x = u * total, resolved against
-  // cumulative root weights — here the global-offset copy of shard s's
-  // array, so the resolved row is the same root row either way.
-  const double x = rng.UniformDouble() * total;
-  const int s = index_->RouteWeight(x);
-  const ExactWeightIndexPtr& w = index_->shard_weights(s);
-  const size_t local = ResolveCumulativeDraw(
-      index_->global_cumulative(s),
-      w->weights(w->join()->graph().tree_order()[0]), x);
+  // Same root draw as the unsharded sampler over the canonical join: the
+  // alias tables are built from identical weights.
+  uint32_t local = 0;
+  const int s = index_->RouteRow(index_->root_alias().Sample(rng), &local);
   ExactWeightSampler& inner = *shard_samplers_[s];
   const JoinSampleStats& inner_stats = inner.stats();
   const uint64_t dead0 = inner_stats.dead_ends;
   const uint64_t rej0 = inner_stats.rejections;
-  std::optional<Tuple> out =
-      inner.TrySampleRowFromRoot(static_cast<uint32_t>(local), rng);
+  std::optional<Tuple> out = inner.DescendColumnar(local, rng);
   stats_.dead_ends += inner_stats.dead_ends - dead0;
   stats_.rejections += inner_stats.rejections - rej0;
   if (out.has_value()) ++stats_.successes;

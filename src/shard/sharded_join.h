@@ -1,18 +1,15 @@
 // Shard-routed samplers: the per-join execution half of the shard plan.
 //
 // ShardedJoinIndex pins the immutable routing state of one sharded join:
-// per-shard exact-weight indexes, the global weight boundaries B[s] (exact
-// integer prefix sums of the shard totals), and each shard's root
-// cumulative array stored AT GLOBAL OFFSET (local prefix + B[s], every
-// addition an exact integer sum). Routing compares the caller's global CDF
-// draw x against those arrays directly — never x - B[s], whose
-// floating-point subtraction could flip a boundary comparison — so a
-// sharded root draw resolves to exactly the row the unsharded row path
-// resolves for the same x.
+// per-shard exact-weight indexes and one alias table over the shard root
+// weights concatenated in shard order. Those are the canonical root
+// weights in canonical row order, so the table is the one the unsharded
+// index over the canonical join builds, and a root draw names the same
+// canonical row either way; RouteRow then maps it to its owning shard.
 //
 // ShardedJoinSampler and ShardedWanderJoinSampler wrap one routing step
 // around the existing descent entry points (ExactWeightSampler::
-// TrySampleRowFromRoot, WanderJoinSampler::WalkFromRoot), consuming the
+// DescendColumnar, WanderJoinSampler::WalkFromRoot), consuming the
 // caller's RNG identically to their unsharded counterparts; the union
 // protocol cannot tell them apart byte-for-byte. ShardedMembershipProber
 // routes membership probes to the one shard whose root slice can contain
@@ -49,7 +46,7 @@ class ShardedJoinIndex {
 
   /// Sum of shard totals == the canonical index's TotalWeight (exact
   /// integer sums).
-  double TotalWeight() const { return weight_boundary_.back(); }
+  double TotalWeight() const { return total_weight_; }
   bool exact() const { return exact_; }
   /// Canonical root row count (for uniform walk-root routing).
   uint64_t total_rows() const { return total_rows_; }
@@ -57,20 +54,9 @@ class ShardedJoinIndex {
   const ExactWeightIndexPtr& shard_weights(int s) const {
     return shard_weights_[s];
   }
-  /// B[0..K]: global weight prefix of the shards.
-  const std::vector<double>& weight_boundary() const {
-    return weight_boundary_;
-  }
-  /// Shard s's root cumulative array at global offset (entry i is the
-  /// global cumulative weight through local row i).
-  const std::vector<double>& global_cumulative(int s) const {
-    return global_cumulative_[s];
-  }
-
-  /// Shard owning a global root CDF draw x in [0, TotalWeight()]. A draw
-  /// at/above B[K] (floating-point boundary) resolves to the last shard
-  /// with positive total, mirroring ResolveCumulativeDraw's tail rule.
-  int RouteWeight(double x) const;
+  /// O(1) draw of a canonical root row over the concatenated shard root
+  /// weights (valid iff TotalWeight() > 0).
+  const AliasTable& root_alias() const { return root_alias_; }
   /// Shard owning canonical root row `global_row`; sets `*local_row`.
   int RouteRow(uint64_t global_row, uint32_t* local_row) const;
 
@@ -81,8 +67,8 @@ class ShardedJoinIndex {
   ShardPlanPtr plan_;
   int join_index_;
   std::vector<ExactWeightIndexPtr> shard_weights_;
-  std::vector<double> weight_boundary_;
-  std::vector<std::vector<double>> global_cumulative_;
+  double total_weight_ = 0.0;
+  AliasTable root_alias_;
   uint64_t total_rows_ = 0;
   bool exact_ = true;
 };
@@ -110,8 +96,7 @@ class ShardedJoinSampler : public JoinSampler {
       : JoinSampler(std::move(join)), index_(std::move(index)) {}
 
   ShardedJoinIndexPtr index_;
-  /// Row-path samplers, one per shard (the row path is the sharding
-  /// reference: its root draw is the CDF resolution being routed).
+  /// One sampler per shard; each descends below the routed root row.
   std::vector<std::unique_ptr<ExactWeightSampler>> shard_samplers_;
   std::vector<obs::Counter*> draw_counters_;     // suj_shard_draws_total_s<k>
   obs::Counter* total_draws_ = nullptr;          // suj_shard_draws_total

@@ -229,81 +229,61 @@ TEST(DifferentialPropertyTest, RevisionOneShotEqualsChunkedEverywhere) {
 }
 
 TEST(DifferentialPropertyTest, ColumnarPathIsDeterministicAcrossThreadCounts) {
-  // The columnar hot path (flat projections + alias tables +
+  // The exact-weight hot path (flat projections + alias tables +
   // level-synchronous batched walks) must not leak scheduling into the
-  // sample stream: with the EW samplers pinned to the columnar plan,
-  // every batch's output stays a pure function of (seed, batch index),
-  // so the delivered stream is byte-identical at every worker count — in
-  // oracle mode and in resumable revision mode. The row path is held to
-  // the same bar; the two paths consume the RNG differently by design,
-  // so each stream is only compared to itself.
+  // sample stream: every batch's output stays a pure function of (seed,
+  // batch index), so the delivered stream is byte-identical at every
+  // worker count — in oracle mode and in resumable revision mode.
   for (uint64_t seed : {810u, 813u}) {
     GraphFixture g = MakeRandomGraph(seed);
-    auto make_factory = [&g](bool columnar) {
-      return [&g, columnar]()
-                 -> Result<std::vector<std::unique_ptr<JoinSampler>>> {
-        ExactWeightSampler::Options options;
-        options.columnar = columnar;
-        std::vector<std::unique_ptr<JoinSampler>> out;
-        for (const auto& join : g.joins) {
-          auto sampler = ExactWeightSampler::Create(join, &g.cache, options);
-          if (!sampler.ok()) return sampler.status();
-          out.push_back(std::move(*sampler));
-        }
-        return out;
-      };
+    auto factory = [&g]() -> Result<std::vector<std::unique_ptr<JoinSampler>>> {
+      std::vector<std::unique_ptr<JoinSampler>> out;
+      for (const auto& join : g.joins) {
+        auto sampler = ExactWeightSampler::Create(join, &g.cache);
+        if (!sampler.ok()) return sampler.status();
+        out.push_back(std::move(*sampler));
+      }
+      return out;
     };
-    // The synthetic chains must actually engage the columnar plan —
-    // otherwise this pins nothing.
-    {
-      ExactWeightSampler::Options options;
-      auto probe =
-          ExactWeightSampler::Create(g.joins[0], &g.cache, options).value();
-      ASSERT_TRUE(probe->columnar()) << "seed=" << seed;
-    }
     const size_t n = 160;
-    for (bool columnar : {true, false}) {
-      std::vector<std::string> oracle_ref, revision_ref;
-      for (size_t threads : {1u, 2u, 4u}) {
-        UnionSampler::Options opts;
-        opts.mode = UnionSampler::Mode::kMembershipOracle;
-        opts.num_threads = threads;
-        opts.batch_size = 32;
-        opts.sampler_factory = make_factory(columnar);
-        auto oracle = UnionSampler::Create(g.joins, {}, g.estimates,
-                                           g.probers, opts)
-                          .value();
-        Rng rng(seed + 3);
-        auto got = oracle->Sample(n, rng);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        CheckMembership(g, *got);
-        if (oracle_ref.empty()) {
-          oracle_ref = Encodings(*got);
-        } else {
-          EXPECT_EQ(Encodings(*got), oracle_ref)
-              << "oracle seed=" << seed << " columnar=" << columnar
-              << " threads=" << threads;
-        }
+    std::vector<std::string> oracle_ref, revision_ref;
+    for (size_t threads : {1u, 2u, 4u}) {
+      UnionSampler::Options opts;
+      opts.mode = UnionSampler::Mode::kMembershipOracle;
+      opts.num_threads = threads;
+      opts.batch_size = 32;
+      opts.sampler_factory = factory;
+      auto oracle =
+          UnionSampler::Create(g.joins, {}, g.estimates, g.probers, opts)
+              .value();
+      Rng rng(seed + 3);
+      auto got = oracle->Sample(n, rng);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      CheckMembership(g, *got);
+      if (oracle_ref.empty()) {
+        oracle_ref = Encodings(*got);
+      } else {
+        EXPECT_EQ(Encodings(*got), oracle_ref)
+            << "oracle seed=" << seed << " threads=" << threads;
+      }
 
-        UnionSampler::Options rev;
-        rev.mode = UnionSampler::Mode::kRevision;
-        rev.num_threads = threads;
-        rev.batch_size = 32;
-        rev.sampler_factory = make_factory(columnar);
-        auto revision =
-            UnionSampler::Create(g.joins, {}, g.estimates, {}, rev).value();
-        RevisionState state;
-        Rng rev_rng(seed + 4);
-        auto rev_got = revision->Sample(n, rev_rng, state);
-        ASSERT_TRUE(rev_got.ok()) << rev_got.status().ToString();
-        CheckMembership(g, *rev_got);
-        if (revision_ref.empty()) {
-          revision_ref = Encodings(*rev_got);
-        } else {
-          EXPECT_EQ(Encodings(*rev_got), revision_ref)
-              << "revision seed=" << seed << " columnar=" << columnar
-              << " threads=" << threads;
-        }
+      UnionSampler::Options rev;
+      rev.mode = UnionSampler::Mode::kRevision;
+      rev.num_threads = threads;
+      rev.batch_size = 32;
+      rev.sampler_factory = factory;
+      auto revision =
+          UnionSampler::Create(g.joins, {}, g.estimates, {}, rev).value();
+      RevisionState state;
+      Rng rev_rng(seed + 4);
+      auto rev_got = revision->Sample(n, rev_rng, state);
+      ASSERT_TRUE(rev_got.ok()) << rev_got.status().ToString();
+      CheckMembership(g, *rev_got);
+      if (revision_ref.empty()) {
+        revision_ref = Encodings(*rev_got);
+      } else {
+        EXPECT_EQ(Encodings(*rev_got), revision_ref)
+            << "revision seed=" << seed << " threads=" << threads;
       }
     }
   }

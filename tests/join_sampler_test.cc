@@ -154,43 +154,74 @@ TEST(ExactWeightSamplerTest, PredicateRejectionKeepsUniformity) {
   EXPECT_GT((*sampler)->stats().rejections, 0u);
 }
 
-TEST(ResolveCumulativeDrawTest, InteriorDrawsUseUpperBound) {
-  const std::vector<double> weights = {2.0, 1.0, 3.0};
-  const std::vector<double> cumulative = {2.0, 3.0, 6.0};
-  EXPECT_EQ(ResolveCumulativeDraw(cumulative, weights, 0.0), 0u);
-  EXPECT_EQ(ResolveCumulativeDraw(cumulative, weights, 1.9), 0u);
-  EXPECT_EQ(ResolveCumulativeDraw(cumulative, weights, 2.0), 1u);
-  EXPECT_EQ(ResolveCumulativeDraw(cumulative, weights, 2.5), 1u);
-  EXPECT_EQ(ResolveCumulativeDraw(cumulative, weights, 5.9), 2u);
+// True iff some tree edge probes an attribute whose first assigner in tree
+// order is not the child's tree parent: the descent then probes with the
+// parent's value, which only the parent's materialization check ties to
+// the assigned one.
+bool ProbesFromNonFirstAssigner(const JoinSpec& join) {
+  const JoinGraph& graph = join.graph();
+  std::map<std::string, int> first_assigner;
+  for (int r : graph.tree_order()) {
+    for (const auto& f : join.relation(r)->schema().fields()) {
+      first_assigner.emplace(f.name, r);
+    }
+  }
+  for (int r : graph.tree_order()) {
+    const int parent = graph.tree_parent()[r];
+    if (parent < 0) continue;
+    for (const auto& a : graph.tree_edge_attrs()[r]) {
+      if (first_assigner.at(a) != parent) return true;
+    }
+  }
+  return false;
 }
 
-TEST(ResolveCumulativeDrawTest, BoundaryDrawSkipsZeroWeightTail) {
-  // The regression this helper exists for: u * total can round up to
-  // exactly `total`, and upper_bound then lands one past the end. The
-  // old clamp (min(idx, size - 1)) returned the LAST row — wrong when
-  // trailing rows are dangling (zero weight), because a zero-weight row
-  // yields no join results and must never be drawn. The resolution must
-  // walk back to the last positive-weight row instead.
-  const std::vector<double> weights = {2.0, 1.0, 0.0, 0.0};
-  const std::vector<double> cumulative = {2.0, 3.0, 3.0, 3.0};
-  EXPECT_EQ(ResolveCumulativeDraw(cumulative, weights, 3.0), 1u);
-  // Above-total draws (floating-point overshoot) resolve the same way.
-  EXPECT_EQ(ResolveCumulativeDraw(cumulative, weights, 3.0000001), 1u);
-  // Interior draws never see zero-weight rows anyway: the cumulative
-  // array is flat across them, so upper_bound skips them.
-  EXPECT_EQ(ResolveCumulativeDraw(cumulative, weights, 2.9), 1u);
-
-  // Single positive row with a zero tail.
-  EXPECT_EQ(
-      ResolveCumulativeDraw({5.0, 5.0}, {5.0, 0.0}, 5.0), 0u);
+TEST(ExactWeightSamplerTest, UniformWhenTreeParentIsNotFirstAssigner) {
+  auto z = MakeRelation("z", {"k1", "k2"},
+                        {{1, 1}, {1, 2}, {2, 1}, {2, 2}, {3, 3}})
+               .value();
+  auto q = MakeRelation("q", {"k1", "x"},
+                        {{1, 10}, {1, 20}, {2, 10}, {2, 30}, {3, 20}})
+               .value();
+  auto p = MakeRelation("p", {"k2", "x"},
+                        {{1, 10}, {1, 30}, {2, 20}, {2, 10}, {3, 20}})
+               .value();
+  auto c = MakeRelation("c", {"x", "y"},
+                        {{10, 1}, {10, 2}, {20, 3}, {30, 4}, {30, 5}})
+               .value();
+  auto d = MakeRelation("d", {"y", "k2"},
+                        {{1, 1}, {2, 2}, {3, 2}, {4, 1}, {5, 3}, {3, 3}})
+               .value();
+  // Tree c->p->{z, q}: q is probed on x from p, but the root c assigns x.
+  auto four = JoinSpec::Create("four", {z, q, p, c},
+                               {{0, 1}, {0, 2}, {2, 3}, {1, 2}})
+                  .value();
+  // Tree z->{q, p, d}, p->c: c is probed on x from p, but q assigns x
+  // first, so p's x can disagree with the assigned one mid-descent.
+  auto five = JoinSpec::Create("five", {z, q, p, c, d},
+                               {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4},
+                                {0, 4}})
+                  .value();
+  ASSERT_EQ(five->graph().tree_parent()[3], 2);
+  uint64_t seed = 106;
+  for (const JoinSpecPtr& join : {four, five}) {
+    SCOPED_TRACE(join->name());
+    ASSERT_FALSE(join->graph().tree_captures_all_constraints());
+    ASSERT_TRUE(ProbesFromNonFirstAssigner(*join));
+    CompositeIndexCache cache;
+    auto sampler = ExactWeightSampler::Create(join, &cache);
+    ASSERT_TRUE(sampler.ok());
+    ExpectUniform(sampler->get(), join, 20000, seed++);
+    EXPECT_GT((*sampler)->stats().rejections, 0u);
+  }
 }
 
 TEST(ExactWeightSamplerTest, ZeroWeightTailRowsAreNeverDrawn) {
   // End-to-end regression shape: the ROOT relation's trailing rows are
   // dangling (no matching s rows), so their exact weights are zero and
   // the root CDF is flat at its tail. Every drawn sample must be a
-  // genuine result tuple on both paths — the old boundary clamp could
-  // select row "r4"/"r5" and descend into an empty candidate set.
+  // genuine result tuple — a CDF boundary clamp could select row "r4"/"r5"
+  // and descend into an empty candidate set.
   auto r = MakeRelation("r", {"a", "b"},
                         {{1, 10}, {2, 10}, {3, 20}, {4, 99}, {5, 99}})
                .value();
@@ -202,20 +233,10 @@ TEST(ExactWeightSamplerTest, ZeroWeightTailRowsAreNeverDrawn) {
   ASSERT_EQ(root_weights.back(), 0.0) << "fixture must have a zero tail";
   ASSERT_EQ(root_weights[3], 0.0);
 
-  // Unit-level: a draw at exactly TotalWeight resolves to a positive row.
-  size_t j = ResolveCumulativeDraw(index->root_cumulative(), root_weights,
-                                   index->TotalWeight());
-  EXPECT_GT(root_weights[j], 0.0);
-
-  for (bool columnar : {false, true}) {
-    ExactWeightSampler::Options options;
-    options.columnar = columnar;
-    auto sampler = ExactWeightSampler::Create(index, options).value();
-    ExpectUniform(sampler.get(), join, 20000, columnar ? 104 : 105);
-    EXPECT_EQ(sampler->stats().dead_ends, 0u)
-        << (columnar ? "columnar" : "row")
-        << " path drew a zero-weight root row";
-  }
+  auto sampler = ExactWeightSampler::Create(index).value();
+  ExpectUniform(sampler.get(), join, 20000, 104);
+  EXPECT_EQ(sampler->stats().dead_ends, 0u)
+      << "drew a zero-weight root row";
 }
 
 TEST(OlkenSamplerTest, BoundMatchesExtendedOlkenFormula) {

@@ -132,6 +132,35 @@ TEST(SujServerTest, UnknownQueryAndBadRequestsAreClean) {
   EXPECT_TRUE(client.OpenSession(open).ok());
 }
 
+TEST(SujServerTest, OversizedResponseBreaksConnectionInsteadOfDesyncing) {
+  // A response larger than the client's frame cap is a framing error: the
+  // client cannot consume the frame, so its body bytes stay in the socket.
+  // The client must close the connection rather than read those bytes as
+  // the next frame's length prefix.
+  ServerFixture fx(504);
+  SujClient::Options options;
+  options.max_frame_bytes = 4096;
+  auto client =
+      SujClient::Connect("127.0.0.1", fx.server->port(), "t", options)
+          .value();
+  ASSERT_TRUE(client.Prepare("chains504").ok());
+  OpenSessionRequest open;
+  open.query = "chains504";
+  auto session = client.OpenSession(open);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+  auto big = client.Sample(session.value(), 2000);
+  ASSERT_FALSE(big.ok()) << "2000 tuples must exceed a 4096-byte frame";
+  EXPECT_EQ(big.status().code(), StatusCode::kInvalidArgument)
+      << big.status().ToString();
+  EXPECT_FALSE(client.connected());
+
+  auto next = client.Sample(session.value(), 1);
+  EXPECT_EQ(next.status().code(), StatusCode::kUnavailable)
+      << next.status().ToString();
+  EXPECT_EQ(client.ServerStats().status().code(), StatusCode::kUnavailable);
+}
+
 TEST(SujServerTest, HelloVersionMismatchIsRejected) {
   ServerFixture fx(502);
   auto conn = ConnectTcp("127.0.0.1", fx.server->port()).value();

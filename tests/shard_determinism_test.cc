@@ -8,7 +8,7 @@
 //    to the last bit (shard root slices partition every join result and
 //    every intersection), so sharded warm-ups are provably identical;
 //  * oracle mode: a sharded union sampler at K in {1,2,4,8} shards is
-//    byte-identical to the unsharded row-path sampler over the same
+//    byte-identical to the unsharded exact-weight sampler over the same
 //    canonical specs, at 1/2/4 worker threads, for both partition
 //    schemes (comparisons are at EQUAL thread counts — thread count
 //    changes how the caller RNG is consumed, sharding must not);
@@ -81,18 +81,15 @@ std::unique_ptr<ShardedSetup> MakeSharded(
   return s;
 }
 
-// The unsharded byte-identity reference: plain exact-weight samplers on
-// the ROW path (sharded samplers always sample the row path) over the
-// canonical specs.
-UnionSampler::JoinSamplerFactory RowFactory(std::vector<JoinSpecPtr> joins,
-                                            CompositeIndexCache* cache) {
+// The unsharded byte-identity reference: plain exact-weight samplers over
+// the canonical specs.
+UnionSampler::JoinSamplerFactory UnshardedFactory(
+    std::vector<JoinSpecPtr> joins, CompositeIndexCache* cache) {
   return [joins = std::move(joins),
           cache]() -> Result<std::vector<std::unique_ptr<JoinSampler>>> {
-    ExactWeightSampler::Options options;
-    options.columnar = false;
     std::vector<std::unique_ptr<JoinSampler>> out;
     for (const auto& join : joins) {
-      auto sampler = ExactWeightSampler::Create(join, cache, options);
+      auto sampler = ExactWeightSampler::Create(join, cache);
       if (!sampler.ok()) return sampler.status();
       out.push_back(std::move(*sampler));
     }
@@ -267,7 +264,7 @@ TEST(ShardPlanTest, RoutedProbersMatchCanonicalOnMembersAndNonMembers) {
 // ---------------------------------------------------------------------------
 // Union-protocol byte identity
 
-TEST(ShardDeterminismTest, OracleShardedMatchesUnshardedRowPath) {
+TEST(ShardDeterminismTest, OracleShardedMatchesUnsharded) {
   for (uint64_t seed : {710u, 711u}) {
     auto joins = MakeJoins(seed);
     const size_t n = 150;
@@ -282,8 +279,8 @@ TEST(ShardDeterminismTest, OracleShardedMatchesUnshardedRowPath) {
         plain_probers.push_back(JoinMembershipProber::Build(join).value());
       }
 
-      // Reference per thread count: the unsharded row-path sampler over
-      // the canonical specs. Thread count changes how the caller RNG is
+      // Reference per thread count: the unsharded sampler over the
+      // canonical specs. Thread count changes how the caller RNG is
       // consumed, so each sharded run compares at ITS thread count.
       std::vector<std::vector<std::string>> reference;
       for (size_t threads : kThreadCounts) {
@@ -291,7 +288,7 @@ TEST(ShardDeterminismTest, OracleShardedMatchesUnshardedRowPath) {
         opts.mode = UnionSampler::Mode::kMembershipOracle;
         opts.num_threads = threads;
         opts.batch_size = 32;
-        opts.sampler_factory = RowFactory(canonical, &base->cache);
+        opts.sampler_factory = UnshardedFactory(canonical, &base->cache);
         auto sampler = UnionSampler::Create(canonical, {}, estimates,
                                             plain_probers, opts)
                            .value();
@@ -346,14 +343,14 @@ TEST(ShardDeterminismTest, RevisionOneShotEqualsChunkedOnEveryShardCount) {
   auto exact = ExactOverlapCalculator::Create(canonical).value();
   auto estimates = ComputeUnionEstimates(exact.get()).value();
 
-  // Reference per thread count: unsharded row path, one-shot.
+  // Reference per thread count: unsharded, one-shot.
   std::vector<std::vector<std::string>> reference;
   for (size_t threads : kThreadCounts) {
     UnionSampler::Options opts;
     opts.mode = UnionSampler::Mode::kRevision;
     opts.num_threads = threads;
     opts.batch_size = 32;
-    opts.sampler_factory = RowFactory(canonical, &base->cache);
+    opts.sampler_factory = UnshardedFactory(canonical, &base->cache);
     auto sampler =
         UnionSampler::Create(canonical, {}, estimates, {}, opts).value();
     RevisionState state;
@@ -425,14 +422,11 @@ std::vector<std::string> SessionRun(const PreparedUnionPtr& plan,
 TEST(ShardDeterminismTest, ServiceSessionsMatchUnshardedInEveryMode) {
   const uint64_t seed = 720;
   auto joins = MakeJoins(seed);
-  // The reference plan: unsharded, over the canonical specs, row-path
-  // samplers (the sharding reference path).
+  // The reference plan: unsharded, over the canonical specs.
   auto base_plan = ShardPlanner::Plan(joins, ShardOptions()).value();
-  PreparedQueryOptions ref_opts;
-  ref_opts.columnar_samplers = false;
   auto reference_plan =
       PreparedUnion::Build("shard-ref", 1, base_plan->canonical_joins(),
-                           ref_opts)
+                           PreparedQueryOptions())
           .value();
 
   const SessionOptions::Mode kModes[] = {SessionOptions::Mode::kOracle,

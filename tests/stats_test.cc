@@ -1,5 +1,4 @@
-// Tests for stats/: histograms, running stats, HT estimation, CIs,
-// reservoir sampling.
+// Tests for stats/: histograms, running stats, HT estimation, CIs.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +7,6 @@
 #include "common/rng.h"
 #include "stats/column_histogram.h"
 #include "stats/estimators.h"
-#include "stats/reservoir.h"
 #include "workloads/synthetic.h"
 
 namespace suj {
@@ -147,31 +145,6 @@ TEST(HorvitzThompsonTest, RelativeHalfWidth) {
     ht.AddSuccess(0.009 + 0.002 * rng.UniformDouble());
   }
   EXPECT_LT(ht.RelativeHalfWidth(0.9), 0.05);
-}
-
-TEST(ReservoirTest, HoldsAllWhenUnderCapacity) {
-  ReservoirSampler<int> sampler(10);
-  Rng rng(15);
-  for (int i = 0; i < 5; ++i) sampler.Offer(i, rng);
-  EXPECT_EQ(sampler.sample().size(), 5u);
-  EXPECT_EQ(sampler.seen(), 5u);
-}
-
-TEST(ReservoirTest, ApproximatelyUniformInclusion) {
-  // Each of 100 items should appear in a size-10 reservoir with
-  // probability ~0.1 across many trials.
-  std::vector<int> inclusion(100, 0);
-  Rng rng(16);
-  const int trials = 2000;
-  for (int trial = 0; trial < trials; ++trial) {
-    ReservoirSampler<int> sampler(10);
-    for (int i = 0; i < 100; ++i) sampler.Offer(i, rng);
-    for (int v : sampler.sample()) ++inclusion[v];
-  }
-  for (int i = 0; i < 100; ++i) {
-    double rate = inclusion[i] / static_cast<double>(trials);
-    EXPECT_NEAR(rate, 0.1, 0.035) << "item " << i;
-  }
 }
 
 }  // namespace

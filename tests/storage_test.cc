@@ -175,7 +175,7 @@ TEST(RelationTest, ProjectRow) {
 TEST(KeyCodecTest, ByteIdenticalToTupleEncode) {
   // The codec is the hot-loop form of ProjectRow(...).Encode(): it must
   // produce the exact same bytes for every type, row, and column order,
-  // or the columnar indexes would disagree with the row path's probes.
+  // or indexes built from it would disagree with Tuple-keyed probes.
   RelationBuilder b("r", Schema({{"k", ValueType::kInt64},
                                  {"name", ValueType::kString},
                                  {"w", ValueType::kDouble}}));

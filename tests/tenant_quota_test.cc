@@ -164,8 +164,10 @@ TEST(AdmissionQueueTest, OverflowShedsInsteadOfQueueing) {
     EXPECT_TRUE(permit.ok());
   });
   while (!parked.load()) std::this_thread::yield();
-  // Give the waiter time to actually enter the queue.
-  while (admission.snapshot().peak_queue_depth < 1) {
+  // Wait until the waiter is parked in the queue. peak_queue_depth is no
+  // signal: the held slot's own Admit already set it to 1. `waited` is
+  // counted under the lock only by an Admit that enqueued and must block.
+  while (admission.snapshot().waited < 1) {
     std::this_thread::yield();
   }
 

@@ -272,60 +272,38 @@ TEST(UniformityTest, SkewedUnionSamplingFailsConformance) {
          "uniform (p=" << result->p_value << ")";
 }
 
-TEST(UniformityTest, ColumnarAliasDrawsMatchRowCdfDistribution) {
-  // Statistical equivalence of the two exact-weight hot paths: the
-  // columnar sampler (O(1) alias-table draws over flat projections) and
-  // the row-oriented reference (binary-searched CDF over encoded key
-  // probes) target the SAME uniform distribution over one join's result.
-  // Each path is chi-square-tested against that exact universe — the
-  // strongest equivalence a fixed-seed suite can assert, since the two
-  // paths consume the RNG differently by design.
+TEST(UniformityTest, ColumnarSequentialAndBatchedDrawsAreUniform) {
+  // The exact-weight descent in both of its RNG orders — one walk at a
+  // time (TrySample) and level-major batched walks (TrySampleBatch) —
+  // chi-square-tested against one join's exact result.
   ConformanceFixture s = MakeConformanceSetup(606);
   const JoinSpecPtr& join = s.joins[0];
   const size_t universe = s.exact->JoinSize(0);
   ASSERT_GT(universe, 1u);
   const size_t n = 80 * universe;
 
-  ExactWeightSampler::Options columnar_opts;
-  columnar_opts.columnar = true;
-  auto columnar =
-      ExactWeightSampler::Create(join, &s.cache, columnar_opts).value();
-  ASSERT_TRUE(columnar->columnar());
-  ExactWeightSampler::Options row_opts;
-  row_opts.columnar = false;
-  auto row = ExactWeightSampler::Create(join, &s.cache, row_opts).value();
-  ASSERT_FALSE(row->columnar());
-
-  auto draw = [&](ExactWeightSampler* sampler, uint64_t seed) {
-    Rng rng(seed);
-    std::vector<Tuple> out;
-    out.reserve(n);
-    while (out.size() < n) {
-      auto t = sampler->Sample(rng);
-      EXPECT_TRUE(t.ok()) << t.status().ToString();
-      if (!t.ok()) break;
-      out.push_back(std::move(t).value());
+  auto columnar = ExactWeightSampler::Create(join, &s.cache).value();
+  {
+    Rng rng(607);
+    std::vector<Tuple> samples;
+    samples.reserve(n);
+    while (samples.size() < n) {
+      auto t = columnar->Sample(rng);
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      samples.push_back(std::move(t).value());
     }
-    return out;
-  };
-  for (auto& [name, samples] :
-       {std::pair<const char*, std::vector<Tuple>>{"columnar",
-                                                   draw(columnar.get(), 607)},
-        {"row", draw(row.get(), 608)}}) {
-    ASSERT_EQ(samples.size(), n) << name;
     for (const auto& [key, c] : CountSamples(samples)) {
       ASSERT_TRUE(s.exact->join_set(0).count(key))
-          << name << " produced a non-result tuple";
+          << "sequential descent produced a non-result tuple";
     }
     auto result = ChiSquareUniformityTest(samples, universe);
-    ASSERT_TRUE(result.ok()) << name;
+    ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->ConsistentWithUniform(/*alpha=*/1e-4))
-        << name << " chi2=" << result->statistic
+        << "sequential chi2=" << result->statistic
         << " df=" << result->degrees_of_freedom << " p=" << result->p_value;
   }
 
-  // The batched columnar walk (level-major RNG order) targets the same
-  // distribution again.
+  // The batched walk (level-major RNG order) targets the same distribution.
   Rng rng(609);
   std::vector<Tuple> batched;
   batched.reserve(n);
@@ -406,11 +384,8 @@ TEST(UniformityTest, ShardSkewedRoutingFailsConformance) {
   for (int shard = 0; shard < shard_options.num_shards; ++shard) {
     const Relation& slice = *jp.shard_specs[shard]->relations()[jp.root];
     if (slice.num_rows() == 0) continue;
-    ExactWeightSampler::Options o;
-    o.columnar = false;
     shard_samplers.push_back(
-        ExactWeightSampler::Create(jp.shard_specs[shard], &cache, o)
-            .value());
+        ExactWeightSampler::Create(jp.shard_specs[shard], &cache).value());
   }
   ASSERT_GT(shard_samplers.size(), 1u) << "need >1 populated shard";
   // The control only bites when shard weights genuinely differ.
