@@ -192,10 +192,11 @@ void BM_UnionSampleParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_UnionSampleParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-// The classic sequential revision loop (decentralized Algorithm 1): the
-// 1x anchor for the epoch-reconciled parallel path below. The CI perf
-// gate asserts the 4-thread parallel row stays >= 1.5x faster than this
-// (same-run comparison; see .github/workflows/ci.yml).
+// The revision epoch driver (decentralized Algorithm 1) over Create-time
+// samplers, i.e. its one-context worker pool: the 1x anchor for the
+// factory-built rows below, which run the same driver. The CI perf gate
+// asserts the 4-thread row stays >= 1.5x faster than this (same-run
+// comparison; see .github/workflows/ci.yml).
 void BM_UnionSampleRevisionSequential(benchmark::State& state) {
   UnionMicroWorkload& f = UnionSetup();
   UnionSampler::Options opts;

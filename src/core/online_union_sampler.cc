@@ -205,7 +205,8 @@ class FreshWalkBatchSampler : public BatchSampler {
   FreshWalkBatchSampler(const FreshWalkBatchSampler&) = delete;
   FreshWalkBatchSampler& operator=(const FreshWalkBatchSampler&) = delete;
 
-  Result<std::vector<Tuple>> SampleBatch(size_t count, Rng& rng) override {
+  Result<std::vector<Tuple>> SampleBatch(size_t, size_t count,
+                                         Rng& rng) override {
     // Alias-backed O(1) selection over the batch-local weight copy; the
     // build consumes no RNG, so batch bytes are unchanged properties of
     // (seed, batch index). Build/Zero fail exactly when no cover remains.

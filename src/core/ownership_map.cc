@@ -44,9 +44,9 @@ ReconcileOutcome OwnershipMap::Reconcile(
     if (it == owners_.end()) {
       owners_.emplace(c.key, c.join);
     } else if (it->second < c.join) {
-      // An earlier join already owns the value: the sequential protocol
-      // would have rejected this draw and retried the round. The claim is
-      // dropped; the epoch driver re-requests the shortfall.
+      // An earlier join already owns the value: Algorithm 1 rejects such
+      // a draw and retries the round. The claim is dropped; the epoch
+      // driver re-requests the shortfall.
       ++out.dropped;
       continue;
     } else if (it->second > c.join) {

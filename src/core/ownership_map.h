@@ -1,11 +1,11 @@
-// OwnershipMap: epoch-reconciled cover ownership for the parallel
-// revision-mode protocol (Algorithm 1, decentralized).
+// OwnershipMap: epoch-reconciled cover ownership for the revision-mode
+// protocol (Algorithm 1, decentralized).
 //
-// The sequential revision protocol learns the cover assignment f(u) in one
-// shared mutable map: every accepted tuple claims its value for the join it
-// was drawn from, later draws from earlier joins revise the claim and purge
-// the stale copies. That single map is what pinned revision mode to one
-// thread. The parallel path splits the learning into EPOCHS:
+// Algorithm 1 learns the cover assignment f(u) on the fly: every accepted
+// tuple claims its value for the join it was drawn from, later draws from
+// earlier joins revise the claim and purge the stale copies. Learning in
+// one shared mutable map would pin the protocol to one thread, so the
+// epoch driver splits the learning into EPOCHS:
 //
 //   1. During an epoch, workers sample batches against an immutable
 //      SNAPSHOT of the reconciled map (`Owner()`), layering batch-local
@@ -16,12 +16,11 @@
 //   2. Between epochs, a single deterministic reconciliation pass
 //      (`Reconcile()`) replays every claim in GLOBAL ROUND ORDER (batch
 //      order, then in-batch order — never thread arrival order) and
-//      applies exactly the sequential protocol's rules: first claim wins,
-//      an earlier-join claim triggers a revision that re-assigns the value
-//      and purges every stale copy from the result, a later-join claim of
-//      an owned value is dropped (the sequential loop would have rejected
-//      and re-drawn it; the epoch driver tops the shortfall up in the next
-//      epoch).
+//      applies Algorithm 1's rules: first claim wins, an earlier-join
+//      claim triggers a revision that re-assigns the value and purges
+//      every stale copy from the result, a later-join claim of an owned
+//      value is dropped (Algorithm 1 rejects such a draw and re-draws; the
+//      epoch driver tops the shortfall up in the next epoch).
 //
 // Because both the per-batch sampling and the replay order are functions
 // of the seed alone, the delivered sample sequence is byte-identical for

@@ -1,16 +1,20 @@
-// RevisionState: resumable cross-call state of the epoch-reconciled
-// revision protocol (the session-lived form of Algorithm 1,
-// decentralized).
+// RevisionState: the protocol state of the epoch-reconciled revision
+// driver (the decentralized Algorithm 1).
 //
-// UnionSampler::SampleRevisionParallel keeps its OwnershipMap, epoch ramp,
-// and epoch-seed stream PER CALL, mirroring the sequential loop — so a
-// streaming session re-learns the cover from scratch on every chunk.
-// RevisionState lifts all of that into an object the caller owns and
-// threads through repeated UnionSampler::Sample(n, rng, state) calls:
-// the learned cover, the epoch schedule, and the epoch-seed stream all
-// continue where the previous call stopped.
+// UnionSampler runs every Mode::kRevision draw through one epoch driver
+// over a RevisionState: the learned cover (OwnershipMap), the epoch ramp
+// position, the epoch-seed stream, the live selection weights, and a
+// buffer of finalized, undelivered tuples. Two kinds of state feed it:
 //
-// ## The deterministic-stream contract
+//  * a caller-owned state threaded through repeated
+//    UnionSampler::Sample(n, rng, state) calls — the learned cover, the
+//    epoch schedule, and the epoch-seed stream all continue where the
+//    previous call stopped (service sessions own one for their lifetime);
+//  * a call-local state that UnionSampler::Sample(n, rng) creates and
+//    drops per call. Nothing outlives the call, so its epochs are clamped
+//    to the call's shortfall and it never buffers past the call.
+//
+// ## The deterministic-stream contract (caller-owned states)
 //
 // A resumed protocol is only useful if chunking is invisible: splitting n
 // draws across K calls must deliver the byte-identical sequence a single
@@ -29,50 +33,41 @@
 //    stream, fixed at initialization from ONE draw of the caller's RNG.
 //    Continuation calls consume nothing from the caller's RNG.
 //  * Reconciliation finalizes each epoch: a revision purges stale copies
-//    of the re-assigned value from the CURRENT epoch's claims only (the
-//    within-epoch reach the sequential protocol has over its pending
-//    round), and the epoch's survivors append to the buffer as immutable
-//    output. Tuples already finalized — delivered or buffered — are
-//    beyond purging, exactly the guarantee the per-call protocol already
-//    makes for tuples delivered by earlier calls; the re-assignment
-//    itself still lands in the ownership map, so later epochs reject the
-//    stale join immediately. Confining the purge horizon to the epoch is
-//    what makes the emitted stream prefix-stable, and prefix-stability is
-//    what makes chunking invisible. The residual effect — stale copies
-//    accepted before a value's ownership was learned stand in the output
-//    — is the same constant-NUMBER-of-draws learning transient the epoch
-//    ramp already bounds (chi-square-verified in uniformity_test).
+//    of the re-assigned value from the CURRENT epoch's claims only, and
+//    the epoch's survivors append to the buffer as immutable output.
+//    Tuples already finalized — delivered or buffered — are beyond
+//    purging; the re-assignment itself still lands in the ownership map,
+//    so later epochs reject the stale join immediately. Confining the
+//    purge horizon to the epoch is what makes the emitted stream
+//    prefix-stable, and prefix-stability is what makes chunking
+//    invisible. The residual effect — stale copies accepted before a
+//    value's ownership was learned stand in the output — is the
+//    constant-NUMBER-of-draws learning transient the epoch ramp already
+//    bounds (chi-square-verified in uniformity_test).
 //  * Cover abandonment discovered during an epoch folds into the state's
 //    selection weights (and the owning sampler's persistent exclusion
 //    set) BETWEEN epochs — the deterministic serial point — so it takes
 //    effect from the next epoch no matter how calls are chunked. The
-//    fan-out itself still never touches the exclusion set; the driver
-//    SUJ_CHECKs that, the same invariant the per-call paths assert at
-//    their per-call boundary.
+//    fan-out itself never touches the exclusion set; the driver
+//    SUJ_CHECKs that at every epoch.
 //
 // ## Lifecycle (call -> session -> eviction)
 //
 // A state is created empty, binds to the first UnionSampler it is used
 // with (resuming on a different sampler is refused), and lives as long as
-// the caller wants the protocol to continue — for service sessions,
-// SamplingSession owns one for its lifetime, so chunked SampleStream
-// delivery and repeated Sample requests are one uninterrupted protocol.
-// The state also carries the session's worker-context pool (exec_cache_),
-// so the sampler factory runs pool-width times per session rather than
-// per call. Abandoning a state mid-stream is always safe: it owns values
-// (tuples, keys, weights) and its own worker contexts — whose samplers
-// hold shared ownership of whatever indexes the factory captured — and
-// points into nothing outside itself, so destroying it — on session
-// close, eviction, or error — frees the learned cover, any undelivered
-// surplus, and the pooled contexts, and nothing else. The sampler
-// notices nothing; a fresh state started afterwards simply re-learns
-// from the sampler's current (persisted) exclusion set.
+// the caller wants the protocol to continue. It owns only values (tuples,
+// keys, weights) and points into nothing outside itself; the worker
+// contexts belong to the sampler, which re-binds them to the current
+// state at every epoch. So destroying a state mid-stream — on session
+// close, eviction, or error — frees the learned cover and any undelivered
+// surplus and nothing else. The sampler notices nothing; a fresh state
+// started afterwards simply re-learns from the sampler's current
+// (persisted) exclusion set.
 
 #ifndef SUJ_CORE_REVISION_STATE_H_
 #define SUJ_CORE_REVISION_STATE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -87,25 +82,18 @@ class UnionSampler;
 class RevisionState {
  public:
   RevisionState() = default;
-  // Not copyable or movable: the bound sampler holds no pointer back, but
-  // the OwnershipMap member owns a mutex.
+  // Not copyable or movable: the OwnershipMap member owns a mutex.
   RevisionState(const RevisionState&) = delete;
   RevisionState& operator=(const RevisionState&) = delete;
 
   /// True once the first Sample call has seeded the state.
   bool initialized() const { return bound_to_ != nullptr; }
 
-  /// Epochs generated so far (the position in the epoch-size ramp).
-  uint64_t epochs_started() const { return epoch_index_; }
-
   /// Finalized tuples generated ahead of demand and not yet delivered.
   size_t buffered() const { return buffer_.size() - buffer_head_; }
 
   /// Tuples handed out across all Sample calls on this state.
   uint64_t delivered() const { return delivered_; }
-
-  /// Distinct values with a reconciled owner in the carried cover.
-  size_t learned_values() const { return ownership_.size(); }
 
  private:
   friend class UnionSampler;
@@ -137,14 +125,6 @@ class RevisionState {
   uint64_t delivered_ = 0;
   /// Total finalized ever (delivered_ + buffered(), SUJ_CHECK-maintained).
   uint64_t finalized_ = 0;
-  /// Executor-layer cache carried across calls: the bound sampler parks
-  /// its RevisionWorkerSet (worker contexts + WorkerContextPool) here so
-  /// a session's sampler factory runs pool-width times total, not per
-  /// resumed call. Opaque (the set is private to union_sampler.cc); the
-  /// shared_ptr's deleter tears it down with the state. The contexts
-  /// point only at this state's own members (weights_, ownership_), so
-  /// carrying them is safe for exactly as long as the state lives.
-  std::shared_ptr<void> exec_cache_;
 };
 
 }  // namespace suj

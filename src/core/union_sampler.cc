@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
+#include <utility>
 #include <unordered_set>
 
 #include "common/alias_table.h"
@@ -74,6 +75,12 @@ class ScopedCoreStatsExport {
   double reconciliation_seconds_;
 };
 
+Status AllCoversAbandoned() {
+  return Status::Internal(
+      "every join's cover was abandoned; warm-up estimates are "
+      "inconsistent with the data");
+}
+
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -98,58 +105,50 @@ Status ValidateSamplerSet(
   return Status::OK();
 }
 
-// One worker's context for the parallel revision protocol: the sequential
-// revision loop run per batch against (epoch snapshot ∘ batch-local
-// overlay) ownership. Everything mutable is per-batch or per-worker; the
-// shared OwnershipMap is only read (its snapshot is immutable during the
-// fan-out), so batch output is a pure function of (seed, batch index,
+// What one revision epoch's fan-out reads and writes, bound into every
+// worker context for the fan-out: the state's live selection weights, a
+// lock-free view of its reconciled owners (immutable while the fan-out
+// runs), and per-batch slots — each written only by the worker that
+// claims the batch — for the claim journal and the abandoned joins.
+struct RevisionEpoch {
+  const std::vector<double>* weights;
+  OwnershipMap::View owners;
+  std::vector<ClaimBatch> claims;
+  std::vector<std::vector<int>> abandoned;
+};
+
+// One worker's context for the revision protocol: the revision loop run
+// per batch against (epoch snapshot ∘ batch-local overlay) ownership.
+// Everything mutable is per-batch or per-worker; the shared OwnershipMap
+// is only read, so batch output is a pure function of (seed, batch index,
 // snapshot) and the concatenation is thread-count independent.
 //
-// Contexts live in a WorkerContextPool for a whole Sample call and serve
-// EVERY epoch of it: the ownership view reads the live (between-epochs
-// reconciled) map through a stable pointer, `weights` points at storage
-// the epoch driver may update between fan-outs (frozen per call on the
-// legacy path, abandonment-folded per epoch on the resumable path), and
-// the per-epoch claim journal is re-bound before each fan-out via
-// BindEpochSlots. Only stats_ accumulates across epochs.
+// Contexts live in the UnionSampler's pool and serve every epoch of every
+// call and RevisionState; the driver binds them to the current epoch for
+// the length of its fan-out. Only stats_ accumulates across epochs.
 class RevisionBatchSampler : public BatchSampler {
  public:
   RevisionBatchSampler(std::vector<std::unique_ptr<JoinSampler>> samplers,
-                       const std::vector<double>* weights,
-                       OwnershipMap::View snapshot,
-                       uint64_t max_draws_per_round,
-                       std::vector<uint8_t>* abandoned_sink)
+                       uint64_t max_draws_per_round)
       : samplers_(std::move(samplers)),
-        frozen_weights_(weights),
-        snapshot_(snapshot),
-        max_draws_per_round_(max_draws_per_round),
-        abandoned_sink_(abandoned_sink) {}
+        max_draws_per_round_(max_draws_per_round) {}
 
-  /// Points the claim journal at the new epoch's slots (one per batch).
-  /// Called serially between fan-outs by the epoch driver.
-  void BindEpochSlots(std::vector<ClaimBatch>* slots) { claim_slots_ = slots; }
+  /// Points the next fan-out at `epoch` (nullptr unbinds). Called serially
+  /// between fan-outs by the epoch driver.
+  void Bind(RevisionEpoch* epoch) { epoch_ = epoch; }
 
-  Result<std::vector<Tuple>> SampleBatch(size_t, Rng&) override {
-    return Status::Internal(
-        "revision batches journal per-batch claims; the executor must use "
-        "the batch-indexed entry point");
-  }
-
-  Result<std::vector<Tuple>> SampleBatchAt(size_t batch_index, size_t count,
-                                           Rng& rng) override {
-    SUJ_CHECK(claim_slots_ != nullptr);  // BindEpochSlots precedes fan-out
-    // Batch-local view: frozen call-start weights (abandonment discovered
-    // here is sunk per worker and reset per batch, like the oracle path)
+  Result<std::vector<Tuple>> SampleBatch(size_t batch_index, size_t count,
+                                         Rng& rng) override {
+    SUJ_CHECK(epoch_ != nullptr);  // Bind precedes every fan-out
+    // Batch-local view: the epoch's weights (abandonment discovered here
+    // is recorded in the batch's slot and zeroed only for the rest of
+    // this batch)
     // and a tentative-claim overlay over the epoch's reconciled snapshot.
     // Selection runs O(1) through an alias table over the weight copy;
     // the build consumes no RNG, so batch output stays a pure function of
     // (seed, batch index).
-    auto selector = WeightedSelector::Build(*frozen_weights_);
-    if (!selector.ok()) {
-      return Status::Internal(
-          "every join's cover was abandoned; warm-up estimates are "
-          "inconsistent with the data");
-    }
+    auto selector = WeightedSelector::Build(*epoch_->weights);
+    if (!selector.ok()) return AllCoversAbandoned();
     std::unordered_map<std::string, int> local;
     std::vector<Tuple> tuples;
     std::vector<std::string> keys;
@@ -196,10 +195,10 @@ class RevisionBatchSampler : public BatchSampler {
             stats_.removed_by_revision += before - tuples.size();
           }
         } else {
-          int g = snapshot_.Owner(key);
+          int g = epoch_->owners.Owner(key);
           if (g >= 0 && g < j) {
-            // Snapshot assigns the value to an earlier join: same
-            // rejection the sequential loop makes once it has learned.
+            // The snapshot assigns the value to an earlier join: reject,
+            // retry the same join (uniformity on J'_j).
             ++stats_.rejected_cover;
             stats_.rejected_seconds += SecondsSince(start);
             continue;
@@ -218,78 +217,32 @@ class RevisionBatchSampler : public BatchSampler {
       }
       if (!round_done) {
         ++stats_.abandoned_rounds;
-        (*abandoned_sink_)[static_cast<size_t>(j)] = 1;
+        epoch_->abandoned[batch_index].push_back(j);
         if (!selector->Zero(static_cast<size_t>(j)).ok()) {
-          return Status::Internal(
-              "every join's cover was abandoned; warm-up estimates are "
-              "inconsistent with the data");
+          return AllCoversAbandoned();
         }
       }
     }
-    (*claim_slots_)[batch_index] = std::move(claims);
+    epoch_->claims[batch_index] = std::move(claims);
     return tuples;
   }
 
   UnionSampleStats stats() const override { return stats_; }
+  /// Stats since the previous TakeStats (the epoch driver's per-call fold).
+  UnionSampleStats TakeStats() { return std::exchange(stats_, {}); }
 
  private:
   std::vector<std::unique_ptr<JoinSampler>> samplers_;
-  const std::vector<double>* frozen_weights_;
-  OwnershipMap::View snapshot_;
   uint64_t max_draws_per_round_;
-  std::vector<ClaimBatch>* claim_slots_ = nullptr;
-  std::vector<uint8_t>* abandoned_sink_;
+  RevisionEpoch* epoch_ = nullptr;
   UnionSampleStats stats_;
 };
 
-// Resumable epoch ramp: batch * 4^e, capped at batch << kResumableRampCap
-// (see SampleRevisionResumable; Options::max_revision_surplus can lower
-// the effective cap). The cap also bounds how many batches one epoch can
-// fan out, which bounds the useful worker-pool width.
-constexpr uint64_t kResumableRampCap = 4;
-
-// One call's revision fan-out machinery, shared by the per-call and
-// resumable epoch drivers: per-worker abandonment sinks, the concrete
-// contexts (for per-epoch claim-slot rebinding), and the WorkerContextPool
-// that owns them. Moving the struct is safe: the contexts hold pointers to
-// the sink vectors' heap elements, which std::vector moves leave in place.
-struct RevisionWorkerSet {
-  std::vector<std::vector<uint8_t>> abandoned;   // one sink per worker
-  std::vector<RevisionBatchSampler*> contexts;   // borrowed from `pool`
-  std::optional<WorkerContextPool> pool;
-};
-
-// Builds `width` revision worker contexts over `sampler_factory` — the
-// once-per-call construction both drivers rely on. `weights` and
-// `snapshot` must outlive the set; the snapshot reads the live map, so
-// between-epoch reconciliations are visible to later fan-outs.
-Result<RevisionWorkerSet> BuildRevisionWorkers(
-    const std::vector<JoinSpecPtr>& joins,
-    const UnionSampler::JoinSamplerFactory& sampler_factory,
-    uint64_t max_draws_per_round, size_t width,
-    const std::vector<double>* weights, OwnershipMap::View snapshot) {
-  RevisionWorkerSet set;
-  set.abandoned.assign(width, std::vector<uint8_t>(joins.size(), 0));
-  set.contexts.assign(width, nullptr);
-  auto factory = [&](size_t worker) -> Result<std::unique_ptr<BatchSampler>> {
-    if (worker >= width) {
-      return Status::Internal("worker index out of range");
-    }
-    auto samplers = sampler_factory();
-    if (!samplers.ok()) return samplers.status();
-    SUJ_RETURN_NOT_OK(ValidateSamplerSet(joins, *samplers));
-    auto context = std::unique_ptr<RevisionBatchSampler>(
-        new RevisionBatchSampler(std::move(*samplers), weights, snapshot,
-                                 max_draws_per_round,
-                                 &set.abandoned[worker]));
-    set.contexts[worker] = context.get();
-    return std::unique_ptr<BatchSampler>(std::move(context));
-  };
-  auto pool = WorkerContextPool::Build(width, factory);
-  if (!pool.ok()) return pool.status();
-  set.pool.emplace(std::move(*pool));
-  return set;
-}
+// Epoch ramp: batch * 4^e, capped at batch << kRevisionRampCap
+// (Options::max_revision_surplus can lower the effective cap). The cap
+// also bounds how many batches one epoch can fan out, which bounds the
+// useful worker-pool width.
+constexpr uint64_t kRevisionRampCap = 4;
 
 }  // namespace
 
@@ -355,13 +308,14 @@ Result<std::unique_ptr<UnionSampler>> UnionSampler::Create(
     return Status::FailedPrecondition(
         "all cover sizes are zero; the union is (estimated) empty");
   }
-  if (options.sampler_factory != nullptr) {
-    // Both modes fan out: oracle ownership is a pure function, revision
-    // ownership runs the epoch-reconciled protocol (ownership_map.h).
-    if (options.batch_size == 0) {
-      return Status::InvalidArgument("batch_size must be positive");
-    }
-  } else if (options.num_threads != 1) {
+  if ((options.sampler_factory != nullptr || options.mode == Mode::kRevision) &&
+      options.batch_size == 0) {
+    // Both fan-outs cut batches: oracle ownership is a pure function,
+    // revision ownership runs the epoch-reconciled protocol at every
+    // thread count (ownership_map.h).
+    return Status::InvalidArgument("batch_size must be positive");
+  }
+  if (options.sampler_factory == nullptr && options.num_threads != 1) {
     return Status::InvalidArgument(
         "num_threads != 1 requires a sampler_factory for per-worker "
         "samplers");
@@ -387,23 +341,15 @@ Result<std::vector<Tuple>> UnionSampler::SampleParallel(size_t n,
   // discovery), because batch contents must never depend on which
   // worker ran the previous batches.
   UnionEstimates frozen = estimates_;
-  double remaining = 0.0;
-  for (size_t j = 0; j < joins_.size(); ++j) {
-    if (disabled_[j]) frozen.cover_sizes[j] = 0.0;
-    remaining += frozen.cover_sizes[j];
-  }
-  if (remaining <= 0.0) {
-    return Status::Internal(
-        "every join's cover was abandoned; warm-up estimates are "
-        "inconsistent with the data");
-  }
+  SUJ_ASSIGN_OR_RETURN(frozen.cover_sizes, LiveWeights());
 
   class WorkerBatchSampler : public BatchSampler {
    public:
     WorkerBatchSampler(std::unique_ptr<UnionSampler> inner,
                        std::vector<uint8_t>* abandoned_sink)
         : inner_(std::move(inner)), abandoned_sink_(abandoned_sink) {}
-    Result<std::vector<Tuple>> SampleBatch(size_t count, Rng& rng) override {
+    Result<std::vector<Tuple>> SampleBatch(size_t, size_t count,
+                                           Rng& rng) override {
       auto result = inner_->Sample(count, rng);
       for (size_t j = 0; j < inner_->disabled_.size(); ++j) {
         if (inner_->disabled_[j]) {
@@ -432,9 +378,6 @@ Result<std::vector<Tuple>> UnionSampler::SampleParallel(size_t n,
   worker_options.num_threads = 1;
   worker_options.sampler_factory = nullptr;
   auto factory = [&](size_t worker) -> Result<std::unique_ptr<BatchSampler>> {
-    if (worker >= workers) {
-      return Status::Internal("worker index out of range");
-    }
     auto samplers = options_.sampler_factory();
     if (!samplers.ok()) return samplers.status();
     auto inner = Create(joins_, std::move(*samplers), frozen, probers_,
@@ -460,258 +403,144 @@ Result<std::vector<Tuple>> UnionSampler::SampleParallel(size_t n,
   return result;
 }
 
-Result<std::vector<Tuple>> UnionSampler::SampleRevisionParallel(
-    size_t n, uint64_t seed) {
-  // Epoch-reconciled revision protocol. Each epoch fans the current
-  // shortfall out as batches; workers run the revision loop against an
-  // immutable snapshot of the reconciled ownership map plus batch-local
-  // claims; the claims are journaled per batch and replayed between
-  // epochs in global round order (batch order, then acceptance order),
-  // applying revisions and purges exactly as the sequential protocol
-  // would. Epoch count, batch layout, and replay order are all functions
-  // of (seed, n) only, so the delivered sequence is byte-identical for
-  // every thread count.
-  //
-  // Like the oracle fan-out, the exclusion set is frozen for the whole
-  // call: abandonment discovered in any epoch is sunk per worker and
-  // folded into disabled_ only after the final epoch.
-  UnionEstimates frozen = estimates_;
+// The sampler's revision worker contexts, built on the first revision
+// call that generates and reused by every later call and RevisionState.
+struct UnionSampler::RevisionPool {
+  ParallelUnionExecutor executor;
+  std::vector<RevisionBatchSampler*> contexts;  // borrowed from `pool`
+  WorkerContextPool pool;
+};
+
+UnionSampler::UnionSampler(std::vector<JoinSpecPtr> joins,
+                           std::vector<std::unique_ptr<JoinSampler>> samplers,
+                           UnionEstimates estimates,
+                           std::vector<JoinMembershipProberPtr> probers,
+                           Options options)
+    : joins_(std::move(joins)),
+      samplers_(std::move(samplers)),
+      estimates_(std::move(estimates)),
+      probers_(std::move(probers)),
+      options_(std::move(options)),
+      disabled_(joins_.size(), false) {
+  stats_.plan_id = options_.plan_id;
+}
+
+UnionSampler::~UnionSampler() = default;
+
+Result<std::vector<double>> UnionSampler::LiveWeights() const {
+  std::vector<double> weights = estimates_.cover_sizes;
   double remaining = 0.0;
-  for (size_t j = 0; j < joins_.size(); ++j) {
-    if (disabled_[j]) frozen.cover_sizes[j] = 0.0;
-    remaining += frozen.cover_sizes[j];
+  for (size_t j = 0; j < weights.size(); ++j) {
+    if (disabled_[j]) weights[j] = 0.0;
+    remaining += weights[j];
   }
-  if (remaining <= 0.0) {
-    return Status::Internal(
-        "every join's cover was abandoned; warm-up estimates are "
-        "inconsistent with the data");
+  if (remaining <= 0.0) return AllCoversAbandoned();
+  return weights;
+}
+
+uint64_t UnionSampler::RevisionRampCap() const {
+  // The default cap, lowered when Options::max_revision_surplus bounds the
+  // surplus so the LARGEST epoch (= the worst-case overshoot past a call's
+  // demand) fits under the bound, floored at one batch. A pure function of
+  // the options — never of the call pattern — so every chunking sees the
+  // same epoch schedule.
+  if (options_.max_revision_surplus == 0) return kRevisionRampCap;
+  uint64_t cap = 0;
+  while (cap < kRevisionRampCap &&
+         (options_.batch_size << (cap + 1)) <= options_.max_revision_surplus) {
+    ++cap;
   }
-  const std::vector<bool> call_start_disabled = disabled_;
+  return cap;
+}
 
-  // Per-call revision state, mirroring the sequential loop's per-call
-  // owner map (ownership learned here cannot purge tuples delivered by
-  // earlier calls, so it is not carried over; abandonment is).
-  OwnershipMap ownership;
-  std::vector<Tuple> result;
-  std::vector<std::string> result_keys;
-  result.reserve(n);
-  result_keys.reserve(n);
-
-  std::vector<uint8_t> abandoned(joins_.size(), 0);
-  // Epoch e draws its executor seed from this stream; epoch boundaries
-  // are deterministic, so the whole schedule is a function of `seed`.
-  Rng epoch_seeds(seed);
-  // Progress guard: an epoch whose reconciliation nets no new standing
-  // tuples is possible (every claim collided with an earlier-join claim
-  // of the same epoch), but each collision teaches the map the winning
-  // owner, so stalls cannot persist; a run of them means the sampler
-  // configuration is broken.
-  const int kMaxStalledEpochs = 8;
-  int stalled = 0;
-
-  // Executor and worker-context pool are built ONCE for the call and
-  // reused by every epoch's fan-out: the factory (and its sampler-set
-  // construction) runs exactly pool-width times per call, not per epoch.
-  // The contexts read the reconciled map through a stable view and the
-  // frozen weights through a stable pointer; only the per-epoch claim
-  // journal is re-bound before each fan-out. Width is clamped to what
-  // the request can engage, as the per-epoch construction was.
+Status UnionSampler::EnsureRevisionPool() {
+  if (revision_pool_ != nullptr) return Status::OK();
   ParallelUnionExecutor::Options exec_options;
   exec_options.num_threads = options_.num_threads;
   exec_options.batch_size = options_.batch_size;
   ParallelUnionExecutor executor(exec_options);
-  auto workers = BuildRevisionWorkers(
-      joins_, options_.sampler_factory, options_.max_draws_per_round,
-      executor.EffectiveThreads(n), &frozen.cover_sizes,
-      ownership.UnsynchronizedView());
-  if (!workers.ok()) return workers.status();
-
-  uint64_t epoch_index = 0;
-  auto run_epochs = [&]() -> Status {
-    while (result.size() < n) {
-      const size_t shortfall = n - result.size();
-      // Learning ramp: epoch sizes grow geometrically from one batch. An
-      // epoch's workers sample against the ownership learned BEFORE it,
-      // so fanning the whole request out at once would let a constant
-      // FRACTION of claims die at reconciliation (weight-proportional
-      // re-draws then over-represent earlier joins — a bias that grows
-      // with n). Small early epochs make the unlearned phase a constant
-      // NUMBER of draws instead, matching the sequential protocol's
-      // transient, while late (large) epochs carry the parallel work.
-      const size_t ramp =
-          options_.batch_size << std::min<uint64_t>(2 * epoch_index, 24);
-      const size_t need = std::min(shortfall, ramp);
-      ++epoch_index;
-      const size_t num_batches =
-          (need + options_.batch_size - 1) / options_.batch_size;
-
-      std::vector<ClaimBatch> claim_slots(num_batches);
-      for (auto* context : workers->contexts) {
-        context->BindEpochSlots(&claim_slots);
-      }
-
-      auto drawn = executor.Execute(need, epoch_seeds.Next(),
-                                    *workers->pool, &stats_);
-      if (!drawn.ok()) return drawn.status();
-      SUJ_CHECK(disabled_ == call_start_disabled);
-      for (const auto& mask : workers->abandoned) {
-        for (size_t j = 0; j < joins_.size(); ++j) {
-          if (mask[j]) abandoned[j] = 1;
-        }
-      }
-
-      // Flatten the per-batch claim journals in batch order; the
-      // executor returned the tuples in the same order, one claim per
-      // tuple.
-      std::vector<OwnershipClaim> claims;
-      claims.reserve(drawn->size());
-      for (auto& slot : claim_slots) {
-        for (auto& claim : slot) claims.push_back(std::move(claim));
-      }
-      SUJ_CHECK(claims.size() == drawn->size());
-
-      auto reconcile_start = Clock::now();
-      const size_t before = result.size();
-      ReconcileOutcome outcome = ownership.Reconcile(
-          std::move(claims), std::move(*drawn), &result, &result_keys);
-      stats_.reconciliation_seconds += SecondsSince(reconcile_start);
-      ++stats_.revision_epochs;
-      stats_.revisions += outcome.revisions;
-      stats_.removed_by_revision += outcome.purged;
-      stats_.reconcile_dropped += outcome.dropped;
-
-      if (result.size() <= before) {
-        if (++stalled >= kMaxStalledEpochs) {
-          return Status::Internal(
-              "revision reconciliation made no progress for " +
-              std::to_string(stalled) +
-              " consecutive epochs; the join samplers and cover estimates "
-              "are inconsistent");
-        }
-      } else {
-        stalled = 0;
-      }
+  // Width is clamped to the most batches one capped epoch can fan out.
+  // Create-time samplers make a one-context pool that takes them over.
+  const size_t width =
+      options_.sampler_factory == nullptr
+          ? 1
+          : std::min(executor.options().num_threads,
+                     size_t{1} << RevisionRampCap());
+  std::vector<RevisionBatchSampler*> contexts(width, nullptr);
+  auto factory = [&](size_t worker) -> Result<std::unique_ptr<BatchSampler>> {
+    std::vector<std::unique_ptr<JoinSampler>> samplers;
+    if (options_.sampler_factory == nullptr) {
+      samplers = std::move(samplers_);
+    } else {
+      SUJ_ASSIGN_OR_RETURN(samplers, options_.sampler_factory());
+      SUJ_RETURN_NOT_OK(ValidateSamplerSet(joins_, samplers));
     }
-    return Status::OK();
+    auto context = std::make_unique<RevisionBatchSampler>(
+        std::move(samplers), options_.max_draws_per_round);
+    contexts[worker] = context.get();
+    return std::unique_ptr<BatchSampler>(std::move(context));
   };
-  const Status run_status = run_epochs();
-
-  // The contexts served every epoch, so their cumulative stats (and the
-  // context count) fold in exactly once — error or not, so a failing
-  // call never loses its completed epochs' accounting.
-  const Status merge_status = workers->pool->MergeStatsInto(&stats_);
-  stats_.parallel_workers += workers->pool->size();
-  SUJ_RETURN_NOT_OK(run_status);
-  SUJ_RETURN_NOT_OK(merge_status);
-
-  for (size_t j = 0; j < joins_.size(); ++j) {
-    if (abandoned[j]) disabled_[j] = true;
-  }
-  return result;
+  SUJ_ASSIGN_OR_RETURN(WorkerContextPool pool,
+                       WorkerContextPool::Build(width, factory));
+  // Contexts are counted when constructed: once per sampler lifetime.
+  stats_.parallel_workers += pool.size();
+  revision_pool_.reset(new RevisionPool{executor, std::move(contexts),
+                                        std::move(pool)});
+  return Status::OK();
 }
 
-Result<std::vector<Tuple>> UnionSampler::SampleRevisionResumable(
-    size_t n, Rng& rng, RevisionState& state) {
-  // The session-lived protocol: everything the per-call path keeps per
-  // call — ownership map, epoch ramp, epoch seeds, selection weights —
-  // lives in `state` and continues across calls, and every generation
-  // input is a function of the state alone. Splitting n draws across any
-  // sequence of calls therefore delivers the byte-identical stream a
-  // single call would, at every thread count (the contract documented in
-  // core/revision_state.h).
+Result<std::vector<Tuple>> UnionSampler::SampleRevision(size_t n, Rng& rng,
+                                                        RevisionState& state,
+                                                        bool call_local) {
+  // The epoch driver: everything the protocol learns — ownership map,
+  // epoch ramp, epoch seeds, selection weights — lives in `state`, and
+  // every generation input is a function of the state alone. Splitting n
+  // draws across any sequence of calls on one state therefore delivers
+  // the byte-identical stream a single call would, at every thread count
+  // (the contract documented in core/revision_state.h).
   if (!state.initialized()) {
-    std::vector<double> weights = estimates_.cover_sizes;
-    double remaining = 0.0;
-    for (size_t j = 0; j < joins_.size(); ++j) {
-      if (disabled_[j]) weights[j] = 0.0;
-      remaining += weights[j];
-    }
-    if (remaining <= 0.0) {
-      return Status::Internal(
-          "every join's cover was abandoned; warm-up estimates are "
-          "inconsistent with the data");
-    }
+    SUJ_ASSIGN_OR_RETURN(std::vector<double> weights, LiveWeights());
     // The ONE draw this state ever takes from the caller's RNG.
     state.Initialize(this, rng.Next(), std::move(weights));
   }
 
-  // Effective ramp cap: the default kResumableRampCap, lowered when
-  // Options::max_revision_surplus bounds the surplus so the LARGEST epoch
-  // (= the worst-case overshoot past a call's demand) fits under the
-  // bound, floored at one batch. A pure function of the options — never
-  // of the call pattern — so every chunking sees the same epoch schedule.
-  uint64_t ramp_cap = kResumableRampCap;
-  if (options_.max_revision_surplus > 0) {
-    uint64_t cap = 0;
-    while (cap < kResumableRampCap &&
-           (options_.batch_size << (cap + 1)) <=
-               options_.max_revision_surplus) {
-      ++cap;
-    }
-    ramp_cap = cap;
-  }
-
   if (state.buffered() < n) {
-    // Generate until the buffer covers the call. The executor is per-call
-    // (it is just options), but the worker-context pool is carried in the
-    // STATE: the first generating call builds it (pool-width factory
-    // invocations; a call served entirely from the buffer builds none)
-    // and every later call of the session reuses it across all of its
-    // epochs. Width is clamped to the most batches one capped epoch can
-    // fan out.
-    ParallelUnionExecutor::Options exec_options;
-    exec_options.num_threads = options_.num_threads;
-    exec_options.batch_size = options_.batch_size;
-    ParallelUnionExecutor executor(exec_options);
-    const size_t pool_width =
-        std::min(executor.options().num_threads, size_t{1} << ramp_cap);
-    auto workers =
-        std::static_pointer_cast<RevisionWorkerSet>(state.exec_cache_);
-    if (workers == nullptr) {
-      auto built = BuildRevisionWorkers(
-          joins_, options_.sampler_factory, options_.max_draws_per_round,
-          pool_width, &state.weights_,
-          state.ownership_.UnsynchronizedView());
-      if (!built.ok()) return built.status();
-      workers = std::make_shared<RevisionWorkerSet>(std::move(*built));
-      // Contexts are counted when constructed — once per state lifetime,
-      // not per call (the doc contract on parallel_workers).
-      stats_.parallel_workers += workers->pool->size();
-      state.exec_cache_ = workers;
-    }
-
+    SUJ_RETURN_NOT_OK(EnsureRevisionPool());
+    RevisionPool& workers = *revision_pool_;
+    const uint64_t ramp_cap = RevisionRampCap();
     const int kMaxStalledEpochs = 8;
     int stalled = 0;
     auto run_epochs = [&]() -> Status {
       while (state.buffered() < n) {
-        // Pure-ramp epoch size — batch * 4^e, capped at batch * 16 —
-        // NEVER clamped by this call's shortfall: a shortfall clamp
-        // would cut different batch layouts for different chunkings and
-        // break split==whole. Overshoot parks in the state's buffer for
-        // the next call, so the cap also bounds how far past its demand
-        // a session can generate (and how large the one serial
-        // reconcile pass gets); the ramp exists only to make the
-        // unlearned transient a constant NUMBER of draws, which the
-        // first two epochs already ensure.
-        const size_t need =
-            options_.batch_size
-            << std::min<uint64_t>(2 * state.epoch_index_, ramp_cap);
+        // Learning ramp — batch * 4^e, capped. An epoch's workers sample
+        // against the ownership learned BEFORE it, so small early epochs
+        // make the unlearned transient a constant NUMBER of draws rather
+        // than a constant fraction of the request. A caller's state is
+        // never clamped to the call's shortfall (that would cut different
+        // batch layouts for different chunkings and break split==whole);
+        // its overshoot parks in the buffer for the next call, so the cap
+        // also bounds that surplus and the one serial reconcile pass. A
+        // call-local state ends with the call, so it clamps instead and
+        // never generates past the call.
+        size_t need = options_.batch_size
+                      << std::min<uint64_t>(2 * state.epoch_index_, ramp_cap);
+        if (call_local) need = std::min(need, n - state.buffered());
         ++state.epoch_index_;
         const size_t num_batches =
             (need + options_.batch_size - 1) / options_.batch_size;
-        std::vector<ClaimBatch> claim_slots(num_batches);
-        for (auto* context : workers->contexts) {
-          context->BindEpochSlots(&claim_slots);
-        }
-
+        RevisionEpoch epoch{&state.weights_,
+                            state.ownership_.UnsynchronizedView(),
+                            std::vector<ClaimBatch>(num_batches),
+                            std::vector<std::vector<int>>(num_batches)};
+        for (auto* context : workers.contexts) context->Bind(&epoch);
         const std::vector<bool> epoch_start_disabled = disabled_;
-        auto drawn = executor.Execute(need, state.epoch_seeds_.Next(),
-                                      *workers->pool, &stats_);
+        auto drawn = workers.executor.Execute(need, state.epoch_seeds_.Next(),
+                                              workers.pool, &stats_);
+        for (auto* context : workers.contexts) context->Bind(nullptr);
         if (!drawn.ok()) return drawn.status();
-        // Same invariant as the per-call paths, at the resumable path's
-        // tighter boundary: the fan-out itself never touches the
-        // persistent exclusion set — the epoch-boundary fold below is
-        // its only writer and runs serially between fan-outs.
+        // The fan-out never touches the persistent exclusion set: the
+        // epoch-boundary fold below is its only writer and runs serially
+        // between fan-outs.
         SUJ_CHECK(disabled_ == epoch_start_disabled);
 
         // Flatten the per-batch claim journals in batch order; the
@@ -719,7 +548,7 @@ Result<std::vector<Tuple>> UnionSampler::SampleRevisionResumable(
         // tuple.
         std::vector<OwnershipClaim> claims;
         claims.reserve(drawn->size());
-        for (auto& slot : claim_slots) {
+        for (auto& slot : epoch.claims) {
           for (auto& claim : slot) claims.push_back(std::move(claim));
         }
         SUJ_CHECK(claims.size() == drawn->size());
@@ -727,8 +556,7 @@ Result<std::vector<Tuple>> UnionSampler::SampleRevisionResumable(
         // Reconcile into a per-epoch result: the purge horizon of a
         // revision is the epoch's own claims, and the epoch's survivors
         // finalize into the state's buffer — the prefix-stability that
-        // makes chunked delivery byte-identical to one-shot
-        // (core/revision_state.h).
+        // makes chunked delivery byte-identical to one-shot.
         auto reconcile_start = Clock::now();
         std::vector<Tuple> epoch_result;
         std::vector<std::string> epoch_keys;
@@ -741,14 +569,13 @@ Result<std::vector<Tuple>> UnionSampler::SampleRevisionResumable(
         stats_.removed_by_revision += outcome.purged;
         stats_.reconcile_dropped += outcome.dropped;
 
-        // Epoch-boundary abandonment fold: a cover exposed as dead
-        // during this epoch stops being selected from the NEXT epoch on
-        // — the same fold at every chunking — and lands in the
-        // sampler's persistent exclusion set at the same point.
+        // Epoch-boundary abandonment fold: a cover exposed as dead during
+        // this epoch stops being selected from the NEXT epoch on — the
+        // same fold at every chunking — and lands in the sampler's
+        // persistent exclusion set at the same point.
         bool newly_abandoned = false;
-        for (const auto& mask : workers->abandoned) {
-          for (size_t j = 0; j < joins_.size(); ++j) {
-            if (!mask[j]) continue;
+        for (const auto& slot : epoch.abandoned) {
+          for (int j : slot) {
             if (state.weights_[j] != 0.0) {
               state.weights_[j] = 0.0;
               newly_abandoned = true;
@@ -759,16 +586,16 @@ Result<std::vector<Tuple>> UnionSampler::SampleRevisionResumable(
         if (newly_abandoned) {
           double remaining = 0.0;
           for (double w : state.weights_) remaining += w;
-          if (remaining <= 0.0) {
-            return Status::Internal(
-                "every join's cover was abandoned; warm-up estimates are "
-                "inconsistent with the data");
-          }
+          if (remaining <= 0.0) return AllCoversAbandoned();
         }
 
         const bool progressed = !epoch_result.empty();
         state.AppendFinalized(std::move(epoch_result));
         if (!progressed) {
+          // Every claim collided with an earlier-join claim of the same
+          // epoch. Each collision teaches the map the winning owner, so
+          // stalls cannot persist; a run of them means the sampler
+          // configuration is broken.
           if (++stalled >= kMaxStalledEpochs) {
             return Status::Internal(
                 "revision reconciliation made no progress for " +
@@ -783,12 +610,14 @@ Result<std::vector<Tuple>> UnionSampler::SampleRevisionResumable(
       return Status::OK();
     };
     const Status run_status = run_epochs();
-    // Context stats fold in as a DELTA since the previous call's fold —
-    // the pool outlives the call — and error or not, so a failing call
-    // never loses its completed epochs' accounting.
-    const Status merge_status = workers->pool->MergeStatsDeltaInto(&stats_);
+    // The contexts outlive the call: each hands over what it accumulated
+    // since the previous call — error or not, so a failing call keeps its
+    // completed epochs' accounting. Contexts carry no plan id, so the
+    // merge cannot fail.
+    for (auto* context : workers.contexts) {
+      SUJ_CHECK(stats_.MergeFrom(context->TakeStats()).ok());
+    }
     SUJ_RETURN_NOT_OK(run_status);
-    SUJ_RETURN_NOT_OK(merge_status);
   }
 
   // Deliver only after every epoch the call needed has succeeded: an
@@ -809,11 +638,9 @@ Result<std::vector<Tuple>> UnionSampler::SampleRevisionResumable(
 
 Result<std::vector<Tuple>> UnionSampler::Sample(size_t n, Rng& rng,
                                                 RevisionState& state) {
-  if (options_.mode != Mode::kRevision ||
-      options_.sampler_factory == nullptr) {
+  if (options_.mode != Mode::kRevision) {
     return Status::InvalidArgument(
-        "resumable sampling requires Mode::kRevision on the batched "
-        "executor path (set Options::sampler_factory)");
+        "resumable sampling requires Mode::kRevision");
   }
   if (state.initialized() && state.bound_to_ != this) {
     return Status::InvalidArgument(
@@ -821,42 +648,28 @@ Result<std::vector<Tuple>> UnionSampler::Sample(size_t n, Rng& rng,
         "protocol cannot migrate between samplers");
   }
   ScopedCoreStatsExport obs_export(&stats_);
-  return SampleRevisionResumable(n, rng, state);
+  return SampleRevision(n, rng, state, /*call_local=*/false);
 }
 
 Result<std::vector<Tuple>> UnionSampler::Sample(size_t n, Rng& rng) {
   ScopedCoreStatsExport obs_export(&stats_);
+  if (options_.mode == Mode::kRevision) {
+    RevisionState call_state;
+    return SampleRevision(n, rng, call_state, /*call_local=*/true);
+  }
   if (options_.sampler_factory != nullptr) {
     // One draw fixes the substream seed; the caller's RNG advances the
     // same way for every thread count.
-    uint64_t seed = rng.Next();
-    return options_.mode == Mode::kMembershipOracle
-               ? SampleParallel(n, seed)
-               : SampleRevisionParallel(n, seed);
+    return SampleParallel(n, rng.Next());
   }
   std::vector<Tuple> result;
-  std::vector<std::string> result_keys;  // parallel encodings, for revision
   result.reserve(n);
-  // Revision state: value -> owning join (the paper's orig_join record).
-  // Per-call: a revision purges stale copies from THIS call's result set,
-  // so ownership learned here cannot be carried into later calls whose
-  // delivered tuples are beyond reach. Abandonment (disabled_) does carry
-  // over — see the header's resumability note.
-  std::unordered_map<std::string, int> owner;
 
-  std::vector<double> weights = estimates_.cover_sizes;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    if (disabled_[i]) weights[i] = 0.0;
-  }
   // O(1) alias-backed join selection; rebuilt only on abandonment (at
-  // most once per join per call). Build fails exactly when every cover
-  // was already abandoned.
+  // most once per join per call).
+  SUJ_ASSIGN_OR_RETURN(std::vector<double> weights, LiveWeights());
   auto selector = WeightedSelector::Build(std::move(weights));
-  if (!selector.ok()) {
-    return Status::Internal(
-        "every join's cover was abandoned; warm-up estimates are "
-        "inconsistent with the data");
-  }
+  if (!selector.ok()) return AllCoversAbandoned();
 
   while (result.size() < n) {
     ++stats_.rounds;
@@ -872,53 +685,17 @@ Result<std::vector<Tuple>> UnionSampler::Sample(size_t n, Rng& rng) {
         stats_.rejected_seconds += SecondsSince(start);
         continue;  // join-level rejection; retry the same join
       }
-
-      if (options_.mode == Mode::kMembershipOracle) {
-        int first = oracle_.Owner(*t);
-        if (first != j) {
-          // The cover assigns this value to an earlier join: t is outside
-          // J'_j. Retry the same join (uniformity on J'_j).
-          ++stats_.rejected_cover;
-          stats_.rejected_seconds += SecondsSince(start);
-          continue;
-        }
-        result.push_back(std::move(*t));
-        ++stats_.accepted;
-        stats_.accepted_seconds += SecondsSince(start);
-        round_done = true;
-      } else {
-        // Revision protocol (Algorithm 1, lines 8-14).
-        std::string key = t->Encode();
-        auto it = owner.find(key);
-        if (it != owner.end() && it->second < j) {
-          // Value already assigned to an earlier join: reject, retry.
-          ++stats_.rejected_cover;
-          stats_.rejected_seconds += SecondsSince(start);
-          continue;
-        }
-        if (it != owner.end() && it->second > j) {
-          // Revision: this join precedes the recorded owner in the cover
-          // order, so the value migrates to J_j and stale copies are
-          // purged from the result.
-          ++stats_.revisions;
-          size_t before = result.size();
-          for (size_t k = result.size(); k-- > 0;) {
-            if (result_keys[k] == key) {
-              result.erase(result.begin() + k);
-              result_keys.erase(result_keys.begin() + k);
-            }
-          }
-          stats_.removed_by_revision += before - result.size();
-          it->second = j;
-        } else if (it == owner.end()) {
-          owner.emplace(key, j);
-        }
-        result_keys.push_back(key);
-        result.push_back(std::move(*t));
-        ++stats_.accepted;
-        stats_.accepted_seconds += SecondsSince(start);
-        round_done = true;
+      if (oracle_.Owner(*t) != j) {
+        // The cover assigns this value to an earlier join: t is outside
+        // J'_j. Retry the same join (uniformity on J'_j).
+        ++stats_.rejected_cover;
+        stats_.rejected_seconds += SecondsSince(start);
+        continue;
       }
+      result.push_back(std::move(*t));
+      ++stats_.accepted;
+      stats_.accepted_seconds += SecondsSince(start);
+      round_done = true;
     }
     if (!round_done) {
       // The join produced no owned tuple within the budget: its estimated
@@ -927,9 +704,7 @@ Result<std::vector<Tuple>> UnionSampler::Sample(size_t n, Rng& rng) {
       ++stats_.abandoned_rounds;
       disabled_[j] = true;
       if (!selector->Zero(static_cast<size_t>(j)).ok()) {
-        return Status::Internal(
-            "every join's cover was abandoned; warm-up estimates are "
-            "inconsistent with the data");
+        return AllCoversAbandoned();
       }
     }
   }

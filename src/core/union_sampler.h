@@ -63,15 +63,15 @@ struct UnionSampleStats {
   uint64_t abandoned_rounds = 0;
   double accepted_seconds = 0.0;    ///< time in rounds ending in an accept
   double rejected_seconds = 0.0;    ///< time spent on rejected draws
-  // Parallel-executor accounting (zero when sampling ran sequentially).
+  // Executor accounting (zero for the sequential oracle loop).
   uint64_t parallel_batches = 0;    ///< batches fanned out by the executor
   /// Worker contexts constructed — a count of contexts, not of fan-outs.
-  /// The per-call parallel modes build their contexts once per Sample call
-  /// (reusing one WorkerContextPool across every epoch of the call), so a
-  /// call at num_threads=T adds at most T here regardless of epoch count.
-  /// The resumable path is tighter still: its pool is carried in the
-  /// RevisionState, so a whole session adds at most T no matter how many
-  /// Sample calls it spans; tests assert both via factory-invocation
+  /// The oracle fan-out builds its contexts once per Sample call, so a
+  /// call at num_threads=T adds at most T here. The revision driver
+  /// builds its pool once per SAMPLER (lazily, on the first call that
+  /// generates) and reuses it for every epoch of every call and
+  /// RevisionState, so a sampler adds at most T over its whole life (1
+  /// with Create-time samplers); tests assert both via factory-invocation
   /// counters.
   uint64_t parallel_workers = 0;
   /// Accepted tuples clipped at batch boundaries (multi-instance
@@ -79,17 +79,16 @@ struct UnionSampleStats {
   /// negligible values signal badly underestimated join sizes.
   uint64_t parallel_clipped = 0;
   double parallel_seconds = 0.0;    ///< executor wall-clock (not CPU) time
-  // Parallel revision-mode accounting (zero for oracle mode and for the
-  // sequential revision loop).
+  // Revision-mode accounting (zero for oracle mode).
   uint64_t revision_epochs = 0;     ///< epoch fan-out + reconcile passes
   /// Claims dropped by reconciliation because an earlier join claimed the
-  /// value in the same epoch (the sequential loop would have rejected and
-  /// re-drawn them; the epoch driver tops the shortfall up instead).
+  /// value in the same epoch (the epoch driver tops the shortfall up in
+  /// the next epoch).
   uint64_t reconcile_dropped = 0;
   double reconciliation_seconds = 0.0;  ///< wall-clock in Reconcile passes
-  /// High-water mark of the finalized-but-undelivered surplus a resumable
-  /// revision session parked in its RevisionState buffer (tuples generated
-  /// past the calls' demand by the fixed epoch ramp). Bounded by
+  /// High-water mark of the finalized-but-undelivered surplus a caller's
+  /// RevisionState parked in its buffer (tuples generated past the calls'
+  /// demand by the fixed epoch ramp). Bounded by
   /// Options::max_revision_surplus; merged via max, not sum.
   uint64_t revision_surplus_high_water = 0;
 
@@ -133,28 +132,30 @@ class UnionSampler {
     /// kMembershipOracle ownership is the pure function "first join
     /// containing the value", so batches from independent RNG substreams
     /// concatenate to exactly the sequential sampler's distribution;
-    /// kRevision runs the epoch-reconciled protocol (core/ownership_map.h)
-    /// — workers sample against an immutable snapshot of the learned
+    /// kRevision always runs the epoch-reconciled protocol
+    /// (core/ownership_map.h), with Create-time samplers as its one-worker
+    /// case — workers sample against an immutable snapshot of the learned
     /// cover, journal tentative claims per batch, and a deterministic
     /// reconciliation pass between epochs replays the claims in global
-    /// round order, applying revisions/purges exactly as the sequential
-    /// protocol would and re-requesting any reconciliation shortfall in
-    /// the next epoch.
+    /// round order, applying revisions/purges and re-requesting any
+    /// reconciliation shortfall in the next epoch.
     size_t num_threads = 1;
-    /// Tuples per parallel batch. The sample sequence is a function of
-    /// (seed, batch index) only — never of the claiming thread — so the
-    /// same seed and n give a byte-identical sequence for EVERY
-    /// num_threads, including 1 (one worker draining all batches).
+    /// Tuples per batch (executor path and every kRevision draw). The
+    /// sample sequence is a function of (seed, batch index) only — never
+    /// of the claiming thread — so the same seed and n give a
+    /// byte-identical sequence for EVERY num_threads, including 1 (one
+    /// worker draining all batches).
     size_t batch_size = 64;
-    /// Setting this engages the batched executor path for Sample(); the
-    /// factory builds each worker's private sampler set. Leave null for
-    /// the classic sequential loop.
+    /// Setting this engages the batched executor path; the factory builds
+    /// each worker's private sampler set. Leave null to sample with the
+    /// Create-time samplers: the sequential loop in oracle mode, a
+    /// one-worker epoch driver in revision mode.
     JoinSamplerFactory sampler_factory;
     /// Prepared-plan identity stamped onto stats() (see
     /// UnionSampleStats::plan_id); 0 for ad-hoc use.
     uint64_t plan_id = 0;
-    /// Upper bound (in tuples) on the finalized surplus a resumable
-    /// revision session may park in its RevisionState buffer. The epoch
+    /// Upper bound (in tuples) on the finalized surplus a caller's
+    /// RevisionState may park in its buffer. The epoch
     /// ramp is a pure function of the options (never of the call
     /// pattern), so the bound is enforced by lowering the ramp's cap
     /// until the largest epoch fits: effectively
@@ -170,7 +171,9 @@ class UnionSampler {
   /// \param samplers   one uniform sampler per join (EW or EO). MUST be
   ///                   empty when Options::sampler_factory is set — the
   ///                   executor path builds per-worker sets from the
-  ///                   factory and would never touch these.
+  ///                   factory and would never touch these. In revision
+  ///                   mode the first call moves them into the sampler's
+  ///                   one-context worker pool.
   /// \param estimates  warm-up output (cover sizes drive join selection).
   /// \param probers    membership oracles; required for kMembershipOracle.
   static Result<std::unique_ptr<UnionSampler>> Create(
@@ -188,60 +191,59 @@ class UnionSampler {
   }
 
   /// Draws `n` tuples with replacement, each (with exact parameters)
-  /// uniform over the set union. Under the revision mode the result can
-  /// additionally shrink mid-run; the loop continues until `n` tuples
-  /// stand.
+  /// uniform over the set union.
   ///
   /// Resumable: repeated Sample calls on one instance continue the
   /// protocol rather than restarting it — stats accumulate and joins
   /// whose rounds were abandoned (estimated cover empty in reality) stay
   /// excluded from selection in later calls instead of burning a fresh
   /// draw budget per call. Service sessions rely on this to serve many
-  /// requests from one long-lived sampler. (On the batched executor path
-  /// — both modes — a cover abandoned mid-call takes effect from the
-  /// NEXT call: within the discovering call every batch keeps the
-  /// call-start exclusion set, so batch contents never depend on
-  /// scheduling. This boundary is asserted: the fan-out SUJ_CHECKs that
-  /// the exclusion set is untouched until the post-fan-out fold.)
+  /// requests from one long-lived sampler.
   ///
-  /// With Options::sampler_factory set the draw fans out over the parallel
-  /// executor: `rng` is consumed for exactly one value (the substream
-  /// seed), so the output is a deterministic function of the caller's RNG
-  /// state and n, independent of the thread count — in BOTH modes. The
-  /// revision-mode fan-out keeps a per-call OwnershipMap, mirroring the
-  /// sequential loop's per-call revision state (ownership learned in one
-  /// call is not carried into later calls, whose delivered tuples are
-  /// beyond purging anyway); abandonment still carries over. Join-level
-  /// stats then accrue in the per-worker samplers, not in the ones passed
-  /// to Create (AggregatedJoinStats() reports only sequential-path work).
+  /// kMembershipOracle: without a sampler_factory this is the sequential
+  /// loop over the Create-time samplers. With one, the draw fans out over
+  /// the parallel executor: `rng` is consumed for exactly one value (the
+  /// substream seed), so the output is a deterministic function of the
+  /// caller's RNG state and n, independent of the thread count. A cover
+  /// abandoned mid-call takes effect from the NEXT call: within the call
+  /// every batch keeps the call-start exclusion set, so batch contents
+  /// never depend on scheduling (SUJ_CHECK-asserted after the fan-out).
+  /// Join-level stats then accrue in the per-worker samplers, not in the
+  /// ones passed to Create.
+  ///
+  /// kRevision: runs the epoch driver (see the RevisionState overload)
+  /// over a call-local RevisionState whose epochs are clamped to the
+  /// call's shortfall, so nothing is buffered past the call and ownership
+  /// learned here is not carried into later calls (their delivered tuples
+  /// are beyond purging anyway); abandonment does carry over. `rng` is
+  /// consumed for exactly one value per call.
   Result<std::vector<Tuple>> Sample(size_t n, Rng& rng);
 
-  /// Resumable revision-mode sampling (requires Mode::kRevision with
-  /// Options::sampler_factory set): continues the epoch-reconciled
-  /// protocol carried by `state` instead of rebuilding it per call. The
-  /// learned cover, epoch ramp, and epoch-seed stream all persist in the
-  /// state, so splitting n draws across any number of calls delivers the
-  /// byte-identical sequence a single n-draw call would — at every
-  /// num_threads, including 1 (see core/revision_state.h for the
-  /// deterministic-stream contract). `rng` is consumed for exactly ONE
-  /// value over the state's whole lifetime (the epoch-seed stream seed,
-  /// drawn when `state` initializes); continuation calls leave it
+  /// Resumable revision-mode sampling (requires Mode::kRevision; oracle
+  /// samplers refuse it with InvalidArgument): continues the
+  /// epoch-reconciled protocol carried by `state` instead of starting one
+  /// per call. The learned cover, epoch ramp, and epoch-seed stream all
+  /// persist in the state, so splitting n draws across any number of
+  /// calls delivers the byte-identical sequence a single n-draw call
+  /// would — at every num_threads, and with Create-time samplers exactly
+  /// as with a factory at num_threads 1 (see core/revision_state.h for
+  /// the deterministic-stream contract). `rng` is consumed for exactly
+  /// ONE value over the state's whole lifetime (the epoch-seed stream
+  /// seed, drawn when `state` initializes); continuation calls leave it
   /// untouched. A state binds to the first sampler it is used with;
   /// passing it to another sampler fails with InvalidArgument.
   ///
-  /// Worker contexts come from one WorkerContextPool built at most once
-  /// per STATE (a session served entirely from the state's buffer builds
-  /// none): the pool is carried inside the RevisionState and reused by
-  /// every epoch of every resumed call, so the sampler factory runs
-  /// exactly pool-width times over a whole session. Cover abandonment
-  /// discovered in an epoch folds into the state's weights AND this
-  /// sampler's persistent exclusion set between epochs — a tighter,
-  /// chunking-independent version of the per-call paths' next-call
-  /// boundary; the fan-out itself still never touches the exclusion set
-  /// (SUJ_CHECK-asserted per epoch). Interleaving resumable and
-  /// non-resumable Sample calls on one sampler is memory-safe and
-  /// deterministic for a fixed interleaving, but the non-resumable calls
-  /// see abandonment at whatever epoch boundaries preceded them.
+  /// Both revision overloads share one epoch driver and one worker pool:
+  /// the sampler builds its pool lazily, on the first revision call that
+  /// has to generate (the sampler factory runs pool-width times over the
+  /// sampler's whole life; Create-time samplers move into a one-context
+  /// pool), and re-binds it to the current state at every epoch. Cover
+  /// abandonment discovered in an epoch folds into the state's weights
+  /// AND this sampler's persistent exclusion set between epochs; the
+  /// fan-out itself never touches the exclusion set (SUJ_CHECK-asserted
+  /// per epoch). A state already in progress keeps its own weights, so
+  /// it sees abandonment found through other states only via the
+  /// covers it discovers itself.
   Result<std::vector<Tuple>> Sample(size_t n, Rng& rng, RevisionState& state);
 
   const UnionSampleStats& stats() const { return stats_; }
@@ -252,41 +254,44 @@ class UnionSampler {
   const UnionEstimates& estimates() const { return estimates_; }
   const std::vector<JoinSpecPtr>& joins() const { return joins_; }
 
-  /// Aggregated join-level sampler statistics (rejections inside EW/EO).
+  /// Aggregated join-level sampler statistics (rejections inside EW/EO)
+  /// of the sequential oracle loop's Create-time samplers.
   JoinSampleStats AggregatedJoinStats() const;
+
+  ~UnionSampler();
 
   // Not copyable or movable: oracle_ points into this object's probers_.
   UnionSampler(const UnionSampler&) = delete;
   UnionSampler& operator=(const UnionSampler&) = delete;
 
  private:
+  struct RevisionPool;
+
   UnionSampler(std::vector<JoinSpecPtr> joins,
                std::vector<std::unique_ptr<JoinSampler>> samplers,
                UnionEstimates estimates,
-               std::vector<JoinMembershipProberPtr> probers, Options options)
-      : joins_(std::move(joins)),
-        samplers_(std::move(samplers)),
-        estimates_(std::move(estimates)),
-        probers_(std::move(probers)),
-        options_(options),
-        disabled_(joins_.size(), false) {
-    stats_.plan_id = options_.plan_id;
-  }
+               std::vector<JoinMembershipProberPtr> probers, Options options);
 
   /// Parallel fan-out of Sample, oracle mode: one batched fan-out.
   Result<std::vector<Tuple>> SampleParallel(size_t n, uint64_t seed);
 
-  /// Parallel fan-out of Sample, revision mode: epoch-reconciled
-  /// ownership (core/ownership_map.h). Fans out batches against the
-  /// reconciled-ownership snapshot, reconciles claims in global round
-  /// order, and repeats until n tuples stand. Per-call state, mirroring
-  /// the sequential loop; sessions use the RevisionState overload.
-  Result<std::vector<Tuple>> SampleRevisionParallel(size_t n, uint64_t seed);
+  /// The revision epoch driver behind both revision Sample overloads:
+  /// generates epochs over `state` until it buffers n tuples, then
+  /// delivers them (see core/revision_state.h). A `call_local` state dies
+  /// with the call, so its epochs are clamped to the call's shortfall.
+  Result<std::vector<Tuple>> SampleRevision(size_t n, Rng& rng,
+                                            RevisionState& state,
+                                            bool call_local);
 
-  /// The resumable body of Sample(n, rng, state): one epoch-driver turn
-  /// over the state's carried protocol (see core/revision_state.h).
-  Result<std::vector<Tuple>> SampleRevisionResumable(size_t n, Rng& rng,
-                                                     RevisionState& state);
+  /// Builds revision_pool_ on first use; later calls are no-ops.
+  Status EnsureRevisionPool();
+
+  /// Cover estimates with abandoned joins zeroed; Internal when none
+  /// remain.
+  Result<std::vector<double>> LiveWeights() const;
+
+  /// Largest epoch exponent: epochs hold at most batch_size << cap tuples.
+  uint64_t RevisionRampCap() const;
 
   std::vector<JoinSpecPtr> joins_;
   std::vector<std::unique_ptr<JoinSampler>> samplers_;
@@ -300,6 +305,8 @@ class UnionSampler {
   std::vector<bool> disabled_;
   /// f(u) = first containing join (oracle mode), memoized over probers_.
   OwnerOracle oracle_{&probers_};
+  /// Revision-mode worker contexts, shared by every call and state.
+  std::unique_ptr<RevisionPool> revision_pool_;
 };
 
 /// \brief Definition 1: sampling the disjoint union (duplicates retained).

@@ -66,7 +66,7 @@ Result<std::vector<Tuple>> ParallelUnionExecutor::Execute(
       }
       Rng batch_rng = cursor;
       const size_t count = std::min(batch, n - i * batch);
-      auto drawn = pool.context(w).SampleBatchAt(i, count, batch_rng);
+      auto drawn = pool.context(w).SampleBatch(i, count, batch_rng);
       if (!drawn.ok()) {
         worker_status[w] = drawn.status();
         failed.store(true, std::memory_order_relaxed);
@@ -102,8 +102,7 @@ Result<std::vector<Tuple>> ParallelUnionExecutor::Execute(
 
   if (stats != nullptr) {
     // Fan-out accounting only: the contexts belong to the pool's owner,
-    // whose MergeStatsInto folds their cumulative stats (and the context
-    // count) in exactly once when the pool retires.
+    // who folds their stats (and counts the contexts) exactly once.
     for (uint64_t clipped : worker_clipped) stats->parallel_clipped += clipped;
     stats->parallel_batches += num_batches;
     stats->parallel_seconds += std::chrono::duration<double>(
@@ -133,9 +132,6 @@ Result<std::vector<Tuple>> ParallelUnionExecutor::Execute(
 Result<std::vector<Tuple>> ParallelUnionExecutor::Execute(
     size_t n, uint64_t seed, const BatchSamplerFactory& factory,
     UnionSampleStats* stats) {
-  if (factory == nullptr) {
-    return Status::InvalidArgument("null batch-sampler factory");
-  }
   // One-shot contexts: built for this fan-out, retired right after it, so
   // (unlike the pool overload) their stats merge here.
   auto pool = WorkerContextPool::Build(EffectiveThreads(n), factory);

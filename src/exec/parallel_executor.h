@@ -18,9 +18,9 @@
 // Two entry points: the factory-based Execute builds fresh contexts for
 // one fan-out (one-shot callers), while the WorkerContextPool overload
 // runs a fan-out over contexts the caller built once and reuses — the
-// revision-mode epoch driver fans out once per epoch, and re-running
-// heavy factories per epoch is exactly what the pool overload removes
-// (see exec/worker_context_pool.h for the stats-merge contract).
+// revision-mode epoch driver keeps one pool per UnionSampler and fans
+// out over it once per epoch of every call (see
+// exec/worker_context_pool.h for the stats-merge contract).
 
 #ifndef SUJ_EXEC_PARALLEL_EXECUTOR_H_
 #define SUJ_EXEC_PARALLEL_EXECUTOR_H_
@@ -37,31 +37,23 @@ namespace suj {
 
 /// \brief One worker's sampling context.
 ///
-/// Contract for determinism: SampleBatch(count, rng) must be a pure
-/// function of (count, rng) plus state that is immutable or reset per call.
-/// Memoization of pure functions (e.g. ownership caches) is fine; carrying
-/// sampling-relevant state between batches is not.
+/// Contract for determinism: SampleBatch(batch_index, count, rng) must be
+/// a pure function of (count, rng) plus state that is immutable or reset
+/// per call. Memoization of pure functions (e.g. ownership caches) is
+/// fine; carrying sampling-relevant state between batches is not.
 class BatchSampler {
  public:
   virtual ~BatchSampler() = default;
 
-  /// Draws at least `count` tuples (overshoot is truncated by the
-  /// executor, deterministically, since truncation happens per batch).
-  virtual Result<std::vector<Tuple>> SampleBatch(size_t count, Rng& rng) = 0;
-
-  /// The executor's actual entry point. Samplers that journal per-batch
-  /// side data (e.g. the revision protocol's ownership claims, placed
-  /// into slot `batch_index` so the post-fan-out reconciliation can
-  /// replay them in batch order) override this; the batch index is part
-  /// of the schedule, not the randomness, so the determinism contract is
-  /// unchanged. Each batch index is claimed by exactly one worker, which
-  /// is what makes per-batch-slot journaling race-free. The default
-  /// forwards to SampleBatch.
-  virtual Result<std::vector<Tuple>> SampleBatchAt(size_t batch_index,
-                                                  size_t count, Rng& rng) {
-    (void)batch_index;
-    return SampleBatch(count, rng);
-  }
+  /// Draws at least `count` tuples for batch `batch_index` (overshoot is
+  /// truncated by the executor, deterministically, since truncation
+  /// happens per batch). The batch index is part of the schedule, not the
+  /// randomness: samplers that journal per-batch side data (the revision
+  /// protocol's ownership claims) write it to slot `batch_index`, which
+  /// exactly one worker claims per fan-out, so the journal is race-free
+  /// and replayable in batch order. Samplers without side data ignore it.
+  virtual Result<std::vector<Tuple>> SampleBatch(size_t batch_index,
+                                                 size_t count, Rng& rng) = 0;
 
   /// Cumulative union-level stats over every batch this worker ran.
   virtual UnionSampleStats stats() const = 0;
@@ -103,8 +95,7 @@ class ParallelUnionExecutor {
   /// ONLY the fan-out accounting (parallel_batches, parallel_clipped,
   /// parallel_seconds) — the contexts outlive this call, so their
   /// cumulative sampler stats and the context count must be folded in
-  /// exactly once by the pool's owner (WorkerContextPool::MergeStatsInto)
-  /// when the pool retires, never per fan-out.
+  /// by the pool's owner, never per fan-out.
   Result<std::vector<Tuple>> Execute(size_t n, uint64_t seed,
                                      WorkerContextPool& pool,
                                      UnionSampleStats* stats = nullptr);

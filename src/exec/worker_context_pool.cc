@@ -32,49 +32,4 @@ Status WorkerContextPool::MergeStatsInto(UnionSampleStats* stats) const {
   return Status::OK();
 }
 
-namespace {
-
-// Fieldwise stats delta. Counters and timings are monotone accumulators,
-// so cur - prev is the work since the baseline; the high-water mark is a
-// level whose MergeFrom is a max, so the current value passes through.
-UnionSampleStats DeltaSince(const UnionSampleStats& cur,
-                            const UnionSampleStats& prev) {
-  UnionSampleStats d;
-  d.plan_id = cur.plan_id;
-  d.rounds = cur.rounds - prev.rounds;
-  d.join_draws = cur.join_draws - prev.join_draws;
-  d.accepted = cur.accepted - prev.accepted;
-  d.rejected_cover = cur.rejected_cover - prev.rejected_cover;
-  d.revisions = cur.revisions - prev.revisions;
-  d.removed_by_revision = cur.removed_by_revision - prev.removed_by_revision;
-  d.abandoned_rounds = cur.abandoned_rounds - prev.abandoned_rounds;
-  d.accepted_seconds = cur.accepted_seconds - prev.accepted_seconds;
-  d.rejected_seconds = cur.rejected_seconds - prev.rejected_seconds;
-  d.parallel_batches = cur.parallel_batches - prev.parallel_batches;
-  d.parallel_workers = cur.parallel_workers - prev.parallel_workers;
-  d.parallel_clipped = cur.parallel_clipped - prev.parallel_clipped;
-  d.parallel_seconds = cur.parallel_seconds - prev.parallel_seconds;
-  d.revision_epochs = cur.revision_epochs - prev.revision_epochs;
-  d.reconcile_dropped = cur.reconcile_dropped - prev.reconcile_dropped;
-  d.reconciliation_seconds =
-      cur.reconciliation_seconds - prev.reconciliation_seconds;
-  d.revision_surplus_high_water = cur.revision_surplus_high_water;
-  return d;
-}
-
-}  // namespace
-
-Status WorkerContextPool::MergeStatsDeltaInto(UnionSampleStats* stats) {
-  if (stats == nullptr) {
-    return Status::InvalidArgument("null stats sink");
-  }
-  if (merged_.size() != contexts_.size()) merged_.resize(contexts_.size());
-  for (size_t i = 0; i < contexts_.size(); ++i) {
-    UnionSampleStats cur = contexts_[i]->stats();
-    SUJ_RETURN_NOT_OK(stats->MergeFrom(DeltaSince(cur, merged_[i])));
-    merged_[i] = std::move(cur);
-  }
-  return Status::OK();
-}
-
 }  // namespace suj

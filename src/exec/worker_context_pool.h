@@ -2,11 +2,7 @@
 // across many executor fan-outs.
 //
 // The revision-mode epoch driver runs one ParallelUnionExecutor fan-out
-// per epoch. Before this pool existed, every fan-out re-invoked the
-// caller's BatchSamplerFactory per worker, so a call spanning E epochs
-// paid E full sampler-set constructions per worker — free with the
-// prebuilt-index factories the service layer hands out, but a real cost
-// for factories that build indexes or open storage. The pool splits
+// per epoch, over every call its UnionSampler serves. The pool splits
 // context construction from fan-out: contexts are built exactly once
 // (serially, on the constructing thread, so factories need not be
 // thread-safe) and each subsequent Execute reuses them.
@@ -17,11 +13,11 @@
 // running later fan-outs on the same contexts cannot change any batch's
 // bytes — only per-context accumulators (stats) observe the reuse.
 //
-// Stats: because contexts now live across fan-outs, their cumulative
-// stats() must be folded into the caller's block exactly once, at the end
-// of the pool's life (MergeStatsInto) — merging after every fan-out, the
-// way the factory-based Execute does with its per-call contexts, would
-// double-count every earlier epoch.
+// Stats: contexts live across fan-outs, so their cumulative stats() are
+// folded into the caller's block once, when the pool retires
+// (MergeStatsInto) — merging after every fan-out would double-count every
+// earlier one. Owners whose pool never retires fold per-context stats
+// themselves.
 
 #ifndef SUJ_EXEC_WORKER_CONTEXT_POOL_H_
 #define SUJ_EXEC_WORKER_CONTEXT_POOL_H_
@@ -50,27 +46,15 @@ class WorkerContextPool {
 
   size_t size() const { return contexts_.size(); }
   BatchSampler& context(size_t w) { return *contexts_[w]; }
-  const BatchSampler& context(size_t w) const { return *contexts_[w]; }
 
-  /// Folds every context's cumulative stats into `*stats`. Call exactly
-  /// once, after the pool's last fan-out — the contexts' stats blocks
-  /// span their whole life, so a per-fan-out merge would double-count.
+  /// Folds every context's cumulative stats into `*stats`. Call once,
+  /// after the pool's last fan-out.
   Status MergeStatsInto(UnionSampleStats* stats) const;
-
-  /// Incremental form for pools that outlive single calls (the resumable
-  /// revision path carries its pool in the RevisionState): folds only the
-  /// stats each context accumulated SINCE the previous MergeStatsDeltaInto
-  /// on this pool, so a session can surface accounting at every call
-  /// boundary without double-counting earlier calls' epochs. Safe to mix
-  /// with nothing else: do not also call MergeStatsInto on the same pool.
-  Status MergeStatsDeltaInto(UnionSampleStats* stats);
 
  private:
   WorkerContextPool() = default;
 
   std::vector<std::unique_ptr<BatchSampler>> contexts_;
-  /// Per-context snapshot at the last MergeStatsDeltaInto (delta baseline).
-  std::vector<UnionSampleStats> merged_;
 };
 
 }  // namespace suj

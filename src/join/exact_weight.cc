@@ -27,6 +27,11 @@ std::vector<int> ColumnIndexes(const Relation& rel,
 
 Result<std::shared_ptr<const ExactWeightIndex>> ExactWeightIndex::Build(
     JoinSpecPtr join, CompositeIndexCache* cache) {
+  return Build(std::move(join), cache, /*with_root_alias=*/true);
+}
+
+Result<std::shared_ptr<const ExactWeightIndex>> ExactWeightIndex::Build(
+    JoinSpecPtr join, CompositeIndexCache* cache, bool with_root_alias) {
   if (join == nullptr) return Status::InvalidArgument("null join");
   if (cache == nullptr) return Status::InvalidArgument("null index cache");
 
@@ -84,14 +89,15 @@ Result<std::shared_ptr<const ExactWeightIndex>> ExactWeightIndex::Build(
   index->exact_ =
       graph.tree_captures_all_constraints() && !spec.has_predicates();
 
-  Status columnar = index->BuildColumnar(child_indexes, cache);
+  Status columnar =
+      index->BuildColumnar(child_indexes, cache, with_root_alias);
   if (!columnar.ok()) return columnar;
   return std::shared_ptr<const ExactWeightIndex>(index);
 }
 
 Status ExactWeightIndex::BuildColumnar(
     const std::vector<CompositeIndexPtr>& child_indexes,
-    CompositeIndexCache* cache) {
+    CompositeIndexCache* cache, bool with_root_alias) {
   const JoinSpec& spec = *join_;
   const JoinGraph& graph = spec.graph();
   const Schema& out_schema = spec.output_schema();
@@ -126,10 +132,12 @@ Status ExactWeightIndex::BuildColumnar(
 
   if (total_weight_ <= 0.0) return Status::OK();  // nothing samplable
 
-  const int root = order.empty() ? 0 : order[0];
-  auto root_alias = AliasTable::Build(weights_[root]);
-  if (!root_alias.ok()) return root_alias.status();
-  root_alias_ = std::move(root_alias).value();
+  if (with_root_alias) {
+    const int root = order.empty() ? 0 : order[0];
+    auto root_alias = AliasTable::Build(weights_[root]);
+    if (!root_alias.ok()) return root_alias.status();
+    root_alias_ = std::move(root_alias).value();
+  }
 
   columnar_edges_.resize(n);
   std::vector<double> group_weights;

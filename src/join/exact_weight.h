@@ -76,7 +76,9 @@ class ExactWeightIndex {
     FlatAliasGroups alias;
   };
 
-  /// O(1) root draw over root-row weights (valid iff TotalWeight() > 0).
+  /// O(1) root draw over root-row weights (valid iff TotalWeight() > 0;
+  /// empty in the per-shard indexes of a ShardedJoinIndex, which draws
+  /// the root from one table over every shard's root weights).
   const AliasTable& root_alias() const { return root_alias_; }
   /// Descent plan of non-root relation r (valid iff TotalWeight() > 0).
   const ColumnarEdge& columnar_edge(int relation) const {
@@ -97,12 +99,19 @@ class ExactWeightIndex {
   }
 
  private:
+  friend class ShardedJoinIndex;
+
   explicit ExactWeightIndex(JoinSpecPtr join) : join_(std::move(join)) {}
+
+  /// Build(), optionally without the root alias table (sharded indexes
+  /// only descend through their per-shard indexes).
+  static Result<std::shared_ptr<const ExactWeightIndex>> Build(
+      JoinSpecPtr join, CompositeIndexCache* cache, bool with_root_alias);
 
   /// `child_indexes[r]` is r's composite index on its tree-edge
   /// attributes (null for the root).
   Status BuildColumnar(const std::vector<CompositeIndexPtr>& child_indexes,
-                       CompositeIndexCache* cache);
+                       CompositeIndexCache* cache, bool with_root_alias);
 
   JoinSpecPtr join_;
   double total_weight_ = 0.0;

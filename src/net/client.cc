@@ -36,7 +36,7 @@ Status SujClient::Broken(Status status) {
 Result<Frame> SujClient::Call(MessageType type, const std::string& body,
                               MessageType expected) {
   if (!conn_.valid()) return Status::Unavailable("client is disconnected");
-  Status written = WriteFrame(conn_, type, body);
+  Status written = WriteFrame(conn_, type, body, options_.max_frame_bytes);
   if (!written.ok()) return Broken(std::move(written));
   Result<Frame> rsp = ReadFrame(conn_, options_.max_frame_bytes);
   if (!rsp.ok()) return Broken(rsp.status());
@@ -122,7 +122,8 @@ Status SujClient::StreamSample(
   request.total = total;
   request.chunk_size = chunk_size;
   Status written =
-      WriteFrame(conn_, MessageType::kStreamSample, request.Encode());
+      WriteFrame(conn_, MessageType::kStreamSample, request.Encode(),
+                 options_.max_frame_bytes);
   if (!written.ok()) return Broken(std::move(written));
 
   Status callback_status;  // first non-OK from on_chunk; frames drain on

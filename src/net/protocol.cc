@@ -6,7 +6,15 @@ namespace net {
 // ---------------------------------------------------------------------------
 // Framing
 
-Status WriteFrame(TcpConn& conn, MessageType type, const std::string& body) {
+Status WriteFrame(TcpConn& conn, MessageType type, const std::string& body,
+                  uint32_t max_frame) {
+  // The u32 length prefix counts the type byte too. Refusing here writes
+  // nothing, so the connection stays in sync for the caller's reply.
+  if (body.size() >= max_frame) {
+    return Status::InvalidArgument(
+        "frame of " + std::to_string(body.size() + 1) +
+        " bytes exceeds the " + std::to_string(max_frame) + "-byte limit");
+  }
   std::string frame;
   frame.reserve(5 + body.size());
   WireWriter w(&frame);

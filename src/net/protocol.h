@@ -83,8 +83,12 @@ enum class MessageType : uint8_t {
 // ---------------------------------------------------------------------------
 // Framing
 
-/// Writes one frame (type + body) to the connection.
-Status WriteFrame(TcpConn& conn, MessageType type, const std::string& body);
+/// Writes one frame (type + body) to the connection. Fails with
+/// InvalidArgument, writing nothing, when the frame (body plus type byte)
+/// would exceed `max_frame`; since max_frame is a u32, that also refuses
+/// a body whose length would wrap the u32 length prefix.
+Status WriteFrame(TcpConn& conn, MessageType type, const std::string& body,
+                  uint32_t max_frame = kDefaultMaxFrame);
 
 /// Reads one frame. `max_frame` bounds the advertised length.
 /// kUnavailable when the peer hung up cleanly between frames.

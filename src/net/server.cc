@@ -1,5 +1,6 @@
 #include "net/server.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "obs/metrics.h"
@@ -178,9 +179,31 @@ Status SujServer::SendStatus(TcpConn& conn, const Status& status) {
 }
 
 Status SujServer::WriteTimed(TcpConn& conn, MessageType type,
-                             const std::string& body) {
+                             const std::string& body) const {
   obs::ScopedSpan span(obs::Stage::kWireWrite);
-  return WriteFrame(conn, type, body);
+  return WriteFrame(conn, type, body, options_.max_frame_bytes);
+}
+
+Status SujServer::CheckTuplesFit(uint64_t session_id, uint64_t tuples,
+                                 const char* what) const {
+  // The smallest frame that can carry the tuples: the type byte, the
+  // chunk's u32 count, then per tuple a u32 length prefix and at least
+  // one byte per field.
+  const uint64_t room =
+      options_.max_frame_bytes > 5 ? options_.max_frame_bytes - 5 : 0;
+  if (tuples <= room / 5) return Status::OK();  // fits at any arity
+  auto session = service_->sessions().Get(session_id);
+  if (!session.ok()) return Status::OK();
+  const uint64_t fit =
+      room / (4 + session.value()->plan()->joins().front()->output_schema()
+                      .num_fields());
+  if (tuples > fit) {
+    return Status::InvalidArgument(
+        std::string(what) + " " + std::to_string(tuples) +
+        " cannot fit in one " + std::to_string(options_.max_frame_bytes) +
+        "-byte frame (at most " + std::to_string(fit) + " tuples)");
+  }
+  return Status::OK();
 }
 
 void SujServer::HandleConnection(Connection* state) {
@@ -361,6 +384,8 @@ Status SujServer::HandleSample(TcpConn& conn, const std::string& tenant,
   auto request = SampleRequest::Decode(frame.body);
   if (!request.ok()) return SendStatus(conn, request.status());
   const uint64_t session_id = request.value().session_id;
+  Status fits = CheckTuplesFit(session_id, request.value().n, "Sample.n");
+  if (!fits.ok()) return SendStatus(conn, fits);
 
   // Counted BEFORE the quota gate: the loadgen reconciliation invariant
   // is sample_requests == admitted + shed, so the counter must see every
@@ -388,7 +413,14 @@ Status SujServer::HandleSample(TcpConn& conn, const std::string& tenant,
   for (const auto& t : tuples.value()) {
     chunk.encoded_tuples.push_back(t.Encode());
   }
-  return WriteTimed(conn, MessageType::kSampleRsp, chunk.Encode());
+  Status written = WriteTimed(conn, MessageType::kSampleRsp, chunk.Encode());
+  // The pre-check bounds only the smallest encoding. A larger response
+  // was refused before any byte went out, so the connection is still in
+  // sync for the error reply.
+  if (written.code() == StatusCode::kInvalidArgument) {
+    return SendStatus(conn, written);
+  }
+  return written;
 }
 
 Status SujServer::HandleStreamSample(TcpConn& conn, const std::string& tenant,
@@ -396,6 +428,14 @@ Status SujServer::HandleStreamSample(TcpConn& conn, const std::string& tenant,
   auto request = StreamSampleRequest::Decode(frame.body);
   if (!request.ok()) return SendStatus(conn, request.status());
   const uint64_t session_id = request.value().session_id;
+  const uint32_t chunk_size =
+      request.value().chunk_size > 0 ? request.value().chunk_size : 256;
+  // The largest chunk the stream can send: a chunk_size past the total
+  // never fills.
+  Status fits = CheckTuplesFit(
+      session_id, std::min<uint64_t>(chunk_size, request.value().total),
+      "chunk_size");
+  if (!fits.ok()) return SendStatus(conn, fits);
 
   // One stream charges one quota token: the admission controller gates
   // every chunk individually, so per-chunk quota charges would just
@@ -407,8 +447,7 @@ Status SujServer::HandleStreamSample(TcpConn& conn, const std::string& tenant,
   if (!quota.ok()) return SendStatus(conn, quota);
 
   SampleStream::Options stream_options;
-  stream_options.chunk_size =
-      request.value().chunk_size > 0 ? request.value().chunk_size : 256;
+  stream_options.chunk_size = chunk_size;
   stream_options.max_buffered_chunks = options_.stream_max_buffered_chunks;
   auto stream = service_->OpenStream(session_id, request.value().total,
                                      stream_options);
@@ -440,8 +479,11 @@ Status SujServer::HandleStreamSample(TcpConn& conn, const std::string& tenant,
     }
     Status io = WriteTimed(conn, MessageType::kStreamChunk, chunk.Encode());
     if (!io.ok()) {
-      stream.value()->Cancel();  // consumer is gone; stop producing
-      return io;
+      stream.value()->Cancel();  // consumer is gone or chunk too large
+      if (io.code() != StatusCode::kInvalidArgument) return io;
+      // Refused before any byte went out: end the stream with the error.
+      return WriteTimed(conn, MessageType::kStreamEnd,
+                        StatusPayload::FromStatus(io).Encode());
     }
     touch_session();
   }

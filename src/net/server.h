@@ -144,9 +144,16 @@ class SujServer {
 
   /// Sends a kStatus frame for `status` (OK or error).
   Status SendStatus(TcpConn& conn, const Status& status);
-  /// WriteFrame, recording a wire_write span into the current trace.
-  static Status WriteTimed(TcpConn& conn, MessageType type,
-                           const std::string& body);
+  /// WriteFrame under max_frame_bytes, recording a wire_write span into
+  /// the current trace. An oversized body is refused with
+  /// InvalidArgument before any byte goes out.
+  Status WriteTimed(TcpConn& conn, MessageType type,
+                    const std::string& body) const;
+  /// InvalidArgument unless a frame of `tuples` tuples of session
+  /// `session_id`'s arity can fit in max_frame_bytes. OK when the
+  /// session is unknown (the sample call itself reports that).
+  Status CheckTuplesFit(uint64_t session_id, uint64_t tuples,
+                        const char* what) const;
 
   /// Forgets a closed/reaped session: releases its governor slot and
   /// tenant binding. Idempotent.

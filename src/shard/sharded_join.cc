@@ -40,7 +40,10 @@ Result<std::shared_ptr<const ShardedJoinIndex>> ShardedJoinIndex::Build(
   std::vector<double> root_weights;
   root_weights.reserve(index->total_rows_);
   for (int s = 0; s < k; ++s) {
-    auto weights = ExactWeightIndex::Build(jp.shard_specs[s], cache);
+    // No per-shard root alias: every root draw goes through the global
+    // table built below.
+    auto weights = ExactWeightIndex::Build(jp.shard_specs[s], cache,
+                                           /*with_root_alias=*/false);
     if (!weights.ok()) return weights.status();
     const ExactWeightIndexPtr& w =
         index->shard_weights_.emplace_back(std::move(weights).value());

@@ -51,6 +51,8 @@ class ShardedJoinIndex {
   /// Canonical root row count (for uniform walk-root routing).
   uint64_t total_rows() const { return total_rows_; }
 
+  /// Shard s's exact-weight index. Built without a root alias table:
+  /// root draws go through root_alias(), the shard only descends.
   const ExactWeightIndexPtr& shard_weights(int s) const {
     return shard_weights_[s];
   }

@@ -11,12 +11,9 @@
 //    substream seed — so cross-loop byte equality is not a property);
 //  * revision mode: the resumable epoch-reconciled protocol delivers the
 //    same bytes one-shot and session-chunked, at 1/2/4 worker threads —
-//    thread count 1 IS the sequential execution of the epoch protocol,
-//    so this is the revision-mode sequential == parallel == chunked
-//    equality. (The pre-epoch sequential revision loop follows the same
-//    distribution but a different draw order, so byte equality against
-//    it is not a property of the protocol; uniformity_test covers its
-//    conformance statistically.)
+//    thread count 1 IS the sequential execution of the epoch protocol
+//    (Create-time samplers run exactly that), so this is the
+//    revision-mode sequential == parallel == chunked equality.
 //  * accounting: the conservation identity accepted − removed_by_revision
 //    − reconcile_dropped == delivered + buffered holds per sampler and
 //    survives MergeFrom across call-pattern stats (and MergeFrom still

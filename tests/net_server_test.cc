@@ -161,6 +161,46 @@ TEST(SujServerTest, OversizedResponseBreaksConnectionInsteadOfDesyncing) {
   EXPECT_EQ(client.ServerStats().status().code(), StatusCode::kUnavailable);
 }
 
+TEST(SujServerTest, ServerRefusesResponsesLargerThanItsFrameLimit) {
+  // The server bounds Sample.n and the stream chunk size by its own frame
+  // limit before drawing a tuple, and answers with InvalidArgument on a
+  // connection that stays in sync.
+  net::ServerOptions options;
+  options.max_frame_bytes = 4096;
+  ServerFixture fx(505, options);
+  auto client = fx.Client("t");
+  ASSERT_TRUE(client.Prepare("chains505").ok());
+  OpenSessionRequest open;
+  open.query = "chains505";
+  auto session = client.OpenSession(open);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+  auto huge = client.Sample(session.value(), 1'000'000);
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument)
+      << huge.status().ToString();
+  EXPECT_TRUE(client.connected());
+  auto stats = client.SessionStats(session.value());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats.value().tuples_delivered, 0u);  // refused before drawing
+
+  auto next = client.Sample(session.value(), 10);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.value().size(), 10u);
+
+  size_t streamed = 0;
+  auto count = [&](const net::TupleChunk& chunk) {
+    streamed += chunk.encoded_tuples.size();
+    return Status::OK();
+  };
+  EXPECT_EQ(client.StreamSample(session.value(), 1'000'000, 1'000'000, count)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(streamed, 0u);
+  // A chunk size past a small total never fills, so it is not refused.
+  EXPECT_TRUE(client.StreamSample(session.value(), 20, 1'000'000, count).ok());
+  EXPECT_EQ(streamed, 20u);
+}
+
 TEST(SujServerTest, HelloVersionMismatchIsRejected) {
   ServerFixture fx(502);
   auto conn = ConnectTcp("127.0.0.1", fx.server->port()).value();

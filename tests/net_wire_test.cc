@@ -384,5 +384,24 @@ TEST(SocketDeadlineTest, DisarmedDeadlineRestoresBlockingReads) {
   EXPECT_EQ(frame->body, "ok");
 }
 
+TEST(FramingTest, OversizedFrameIsRefusedWithoutWritingAByte) {
+  TcpConn client, server;
+  ASSERT_NO_FATAL_FAILURE(MakeLoopbackPair(&client, &server));
+  ASSERT_TRUE(client.SetIoDeadlines(200, 200).ok());
+  // The length prefix counts the type byte: a 15-byte body is the most a
+  // 16-byte limit admits.
+  const std::string body(16, 'x');
+  auto refused = net::WriteFrame(server, net::MessageType::kStatus, body, 16);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(net::WriteFrame(server, net::MessageType::kStatus,
+                              body.substr(1), 16)
+                  .ok());
+  // The refused frame left nothing in the stream: the next frame read is
+  // the one that was written.
+  auto frame = net::ReadFrame(client, 16);
+  ASSERT_TRUE(frame.ok()) << frame.status().message();
+  EXPECT_EQ(frame->body, body.substr(1));
+}
+
 }  // namespace
 }  // namespace suj

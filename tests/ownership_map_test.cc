@@ -1,4 +1,4 @@
-// Tests for core/ownership_map: the sequential protocol's
+// Tests for core/ownership_map: Algorithm 1's
 // accept/drop/revise/purge semantics under epoch replay, and a
 // claim/reconcile churn stress that exercises the Owner()-vs-Reconcile()
 // synchronization contract (run under TSan in the debug-tsan CI suite).

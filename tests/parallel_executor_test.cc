@@ -37,7 +37,8 @@ std::vector<std::string> Encodings(const std::vector<Tuple>& samples) {
 // scheduling dependence would show up as a changed sequence.
 class RngEchoBatchSampler : public BatchSampler {
  public:
-  Result<std::vector<Tuple>> SampleBatch(size_t count, Rng& rng) override {
+  Result<std::vector<Tuple>> SampleBatch(size_t, size_t count,
+                                         Rng& rng) override {
     std::vector<Tuple> out;
     for (size_t i = 0; i < count; ++i) {
       out.push_back(
@@ -104,7 +105,7 @@ TEST(ParallelExecutorTest, StatsAggregation) {
 TEST(ParallelExecutorTest, WorkerErrorPropagates) {
   class Failing : public BatchSampler {
    public:
-    Result<std::vector<Tuple>> SampleBatch(size_t, Rng&) override {
+    Result<std::vector<Tuple>> SampleBatch(size_t, size_t, Rng&) override {
       return Status::Internal("boom");
     }
     UnionSampleStats stats() const override { return {}; }
@@ -121,7 +122,8 @@ TEST(ParallelExecutorTest, WorkerErrorPropagates) {
 TEST(ParallelExecutorTest, ShortBatchIsAnError) {
   class Short : public BatchSampler {
    public:
-    Result<std::vector<Tuple>> SampleBatch(size_t count, Rng&) override {
+    Result<std::vector<Tuple>> SampleBatch(size_t, size_t count,
+                                           Rng&) override {
       return std::vector<Tuple>(count > 0 ? count - 1 : 0);
     }
     UnionSampleStats stats() const override { return {}; }

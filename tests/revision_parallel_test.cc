@@ -1,9 +1,9 @@
-// Tests for the parallel revision-mode protocol (epoch-reconciled
-// ownership, core/ownership_map.h + UnionSampler::SampleRevisionParallel):
+// Tests for the revision-mode epoch driver's per-call entry point
+// (epoch-reconciled ownership, core/ownership_map.h, run by
+// UnionSampler::Sample(n, rng) over a call-local RevisionState):
 // byte-identical samples across thread counts, revision/purge counter
-// invariants, resume-across-Sample()-calls equivalence, the next-call
-// abandonment boundary, and Create validation of the lifted
-// kRevision-requires-sequential restriction.
+// invariants, resume-across-Sample()-calls equivalence, the epoch-boundary
+// abandonment fold, and Create validation.
 
 #include <gtest/gtest.h>
 
@@ -159,11 +159,12 @@ TEST(RevisionParallelTest, ResumeAcrossCallsMatchesEveryThreadCount) {
   }
 }
 
-TEST(RevisionParallelTest, AbandonmentTakesEffectNextCall) {
-  // Same boundary as the oracle executor path (see
-  // parallel_executor_test.cc): a join whose lying estimate is exposed
-  // mid-call keeps its call-start weight for every batch of that call and
-  // is excluded only from the next call on.
+TEST(RevisionParallelTest, AbandonmentFoldsAtEpochBoundaries) {
+  // A join whose lying estimate is exposed during an epoch keeps its
+  // weight for every batch of that epoch and is excluded from the next
+  // epoch on — in the rest of the call and in every later call, which
+  // therefore abandons nothing new. The fold point is part of the epoch
+  // schedule, so the bytes agree across thread counts.
   Fixture s = MakeSetup(306);
   auto empty_r =
       workloads::MakeRelation("er", {"A0", "A1"}, {{1, 2}}).value();

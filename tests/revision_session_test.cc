@@ -3,9 +3,9 @@
 // split-across-calls == one-call byte equality at every worker-thread
 // count, resumption across SampleStream chunks, eviction/teardown while
 // a resumable state is live, worker-context-pool construction counts
-// (once per STATE, carried across calls and epochs), the
-// max_revision_surplus cap + high-water instrumentation, and
-// state-binding validation.
+// (once per SAMPLER, shared by every call, state and epoch), Create-time
+// samplers == a factory at one thread, the max_revision_surplus cap +
+// high-water instrumentation, and state-binding validation.
 // Runs under the TSan CI job (ctest -L concurrency).
 
 #include <gtest/gtest.h>
@@ -281,7 +281,7 @@ std::unique_ptr<UnionSampler> MakeRevisionSampler(CoreFixture& s,
   return UnionSampler::Create(s.joins, {}, s.estimates, {}, opts).value();
 }
 
-TEST(RevisionSessionTest, ResumableBuildsWorkerContextsOncePerState) {
+TEST(RevisionSessionTest, ResumableBuildsWorkerContextsOncePerSampler) {
   CoreFixture s = MakeCoreSetup(702);
   const size_t kThreads = 4;
   auto sampler = MakeRevisionSampler(s, kThreads, /*batch_size=*/16);
@@ -302,14 +302,16 @@ TEST(RevisionSessionTest, ResumableBuildsWorkerContextsOncePerState) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(s.factory_calls, kThreads);
 
-  // Call 3 outruns the buffer — the pool carried in the state serves it
-  // without a single new factory invocation. Before the carry, every
-  // generating call rebuilt pool-width contexts (index lookups, sampler
-  // construction) on the request path.
+  // Call 3 outruns the buffer — the sampler's pool serves it without a
+  // single new factory invocation, and so does a second state on the
+  // same sampler: the pool belongs to the sampler, not to a state.
   auto third = sampler->Sample(state.buffered() + 200, rng, state);
   ASSERT_TRUE(third.ok()) << third.status().ToString();
   EXPECT_EQ(s.factory_calls, kThreads);
-  // parallel_workers counts constructed contexts: once per state, too.
+  RevisionState other;
+  ASSERT_TRUE(sampler->Sample(300, rng, other).ok());
+  EXPECT_EQ(s.factory_calls, kThreads);
+  // parallel_workers counts constructed contexts: once per sampler, too.
   EXPECT_EQ(sampler->stats().parallel_workers, kThreads);
 }
 
@@ -378,17 +380,66 @@ TEST(RevisionSessionTest, SurplusCapPreservesSplitEqualsWhole) {
   }
 }
 
-TEST(RevisionSessionTest, PerCallPathBuildsWorkerContextsOncePerCall) {
-  // The legacy (per-call state) parallel revision path reuses one pool
-  // across its epochs too.
+TEST(RevisionSessionTest, PerCallSamplesBuildWorkerContextsOncePerSampler) {
+  // Sample(n, rng) runs the same driver over a call-local state, on the
+  // same sampler-owned pool: every epoch of every call reuses it.
   CoreFixture s = MakeCoreSetup(704);
   auto sampler = MakeRevisionSampler(s, /*threads=*/4, /*batch_size=*/16);
   Rng rng = testing::FixedSeedRng(705);
-  auto samples = sampler->Sample(600, rng);
-  ASSERT_TRUE(samples.ok()) << samples.status().ToString();
-  EXPECT_GT(sampler->stats().revision_epochs, 1u);
+  for (int call = 0; call < 3; ++call) {
+    auto samples = sampler->Sample(600, rng);
+    ASSERT_TRUE(samples.ok()) << samples.status().ToString();
+    EXPECT_EQ(samples->size(), 600u);
+  }
+  EXPECT_GT(sampler->stats().revision_epochs, 3u);
   EXPECT_EQ(s.factory_calls, 4u);
   EXPECT_EQ(sampler->stats().parallel_workers, 4u);
+  // The call-local state is clamped to each call's shortfall, so nothing
+  // is generated past a call: every accepted tuple was delivered, purged
+  // or dropped.
+  const auto& st = sampler->stats();
+  EXPECT_EQ(st.accepted - st.removed_by_revision - st.reconcile_dropped,
+            1800u);
+  EXPECT_EQ(st.revision_surplus_high_water, 0u);
+}
+
+TEST(RevisionSessionTest, CreateTimeSamplersMatchFactoryAtOneThread) {
+  // Create-time samplers are the one-worker case of the epoch driver, so
+  // they deliver exactly what a factory-built sampler at num_threads 1
+  // does — one-shot per-call draws and chunked draws on a state alike.
+  CoreFixture s = MakeCoreSetup(716);
+  auto run = [&s](bool create_time, bool chunked) {
+    UnionSampler::Options opts;
+    opts.mode = UnionSampler::Mode::kRevision;
+    opts.batch_size = 16;
+    std::vector<std::unique_ptr<JoinSampler>> samplers;
+    if (create_time) {
+      samplers = s.CountingFactory()().value();
+    } else {
+      opts.sampler_factory = s.CountingFactory();
+    }
+    auto sampler = UnionSampler::Create(s.joins, std::move(samplers),
+                                        s.estimates, {}, opts)
+                       .value();
+    RevisionState state;
+    Rng rng = testing::FixedSeedRng(717);
+    std::vector<std::string> out;
+    for (size_t n : {5u, 130u, 65u}) {
+      auto samples = chunked ? sampler->Sample(n, rng, state)
+                             : sampler->Sample(n, rng);
+      EXPECT_TRUE(samples.ok()) << samples.status().ToString();
+      if (!samples.ok()) return out;
+      auto enc = Encodings(*samples);
+      out.insert(out.end(), enc.begin(), enc.end());
+    }
+    EXPECT_EQ(sampler->stats().parallel_workers, 1u);
+    return out;
+  };
+  for (bool chunked : {false, true}) {
+    const std::vector<std::string> create_time = run(true, chunked);
+    ASSERT_EQ(create_time.size(), 200u);
+    EXPECT_EQ(create_time, run(false, chunked)) << "chunked=" << chunked;
+  }
 }
 
 TEST(RevisionSessionTest, StateBindsToItsFirstSampler) {
@@ -405,20 +456,27 @@ TEST(RevisionSessionTest, StateBindsToItsFirstSampler) {
   EXPECT_TRUE(a->Sample(40, rng, state).ok());
 }
 
-TEST(RevisionSessionTest, ResumableRequiresRevisionExecutorPath) {
+TEST(RevisionSessionTest, ResumableRequiresRevisionMode) {
   CoreFixture s = MakeCoreSetup(708);
   RevisionState state;
   Rng rng = testing::FixedSeedRng(709);
-  // Sequential revision sampler (no factory): resumable entry refused.
-  UnionSampler::Options seq;
-  seq.mode = UnionSampler::Mode::kRevision;
-  auto factory = s.CountingFactory();
-  auto samplers = factory();
+  // Oracle sampler: the resumable entry is refused on the sequential
+  // path and on the executor path alike, and the state stays unbound.
+  auto probers = BuildProbers(s.joins).value();
+  UnionSampler::Options oracle;
+  oracle.mode = UnionSampler::Mode::kMembershipOracle;
+  auto samplers = s.CountingFactory()();
   ASSERT_TRUE(samplers.ok());
   auto sequential = UnionSampler::Create(s.joins, std::move(*samplers),
-                                         s.estimates, {}, seq)
+                                         s.estimates, probers, oracle)
                         .value();
   EXPECT_EQ(sequential->Sample(10, rng, state).status().code(),
+            StatusCode::kInvalidArgument);
+  oracle.sampler_factory = s.CountingFactory();
+  auto parallel =
+      UnionSampler::Create(s.joins, {}, s.estimates, probers, oracle)
+          .value();
+  EXPECT_EQ(parallel->Sample(10, rng, state).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_FALSE(state.initialized());
 }

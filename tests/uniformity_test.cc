@@ -196,7 +196,7 @@ TEST(UniformityTest, SessionResumedRevisionPathIsUniformOverUnion) {
   // Sample calls on ONE kRevision session, whose learned cover, epoch
   // schedule, and buffered surplus persist across calls. Treating the
   // whole multi-call sequence as one sample set, it must be just as
-  // consistent with uniformity as the per-call path above — the
+  // consistent with uniformity as the one-shot draws above — the
   // epoch-confined purge horizon only ever leaves the same
   // constant-NUMBER-of-draws learning transient standing. The skew
   // negative control below keeps guarding this harness too: the same
