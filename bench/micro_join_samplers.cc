@@ -284,10 +284,10 @@ BENCHMARK(BM_UnionSampleRevisionResume)->Arg(1)->Arg(8)->UseRealTime();
 // Sharded execution context over the union micro workload (built once
 // per shard count): prepare-time hash shard plan + coordinator whose
 // routed samplers stand in for the plain per-join samplers, with union
-// estimates from the per-shard merged overlap calculators and
-// hash-routed membership probers. The cache member precedes the
-// coordinator so per-shard indexes (which dedupe shared children
-// through it) never outlive it.
+// estimates from the per-shard merged overlap calculators and plain
+// membership probers over the canonical joins (what sharded plans use).
+// The cache member precedes the coordinator so per-shard indexes (which
+// dedupe shared children through it) never outlive it.
 struct ShardedUnionSetup {
   CompositeIndexCache cache;
   ShardPlanPtr plan;
@@ -311,7 +311,7 @@ ShardedUnionSetup& ShardedUnionAt(int shards) {
       Unwrap(ShardMergedOverlapEstimator::Create(s->plan, &s->cache),
              "merged overlap");
   s->estimates = Unwrap(ComputeUnionEstimates(merged.get()), "estimates");
-  s->probers = Unwrap(s->coord->BuildRoutedProbers(), "routed probers");
+  s->probers = Unwrap(BuildProbers(s->plan->canonical_joins()), "probers");
   cache[shards] = s;
   return *s;
 }

@@ -178,8 +178,8 @@ namespace {
 
 // Per-worker fresh-walk context for the parallel phase: Algorithm 2's
 // regular phase against frozen estimates. Shared state (probers, weights,
-// join sizes) is read-only; the wander-join samplers, ownership memo, and
-// stats are private to the worker. The selection-weight copy is re-made
+// join sizes) is read-only; the wander-join samplers and stats are
+// private to the worker. The selection-weight copy is re-made
 // per batch so an abandoned join in one batch cannot leak into the next
 // (which would make batch output depend on scheduling); abandonment is
 // instead reported through abandoned_sink_ and applied by the caller
@@ -200,10 +200,6 @@ class FreshWalkBatchSampler : public BatchSampler {
         max_draws_per_round_(max_draws_per_round),
         sink_(sink),
         abandoned_sink_(abandoned_sink) {}
-
-  // Not copyable or movable: oracle_ points into this object's probers_.
-  FreshWalkBatchSampler(const FreshWalkBatchSampler&) = delete;
-  FreshWalkBatchSampler& operator=(const FreshWalkBatchSampler&) = delete;
 
   Result<std::vector<Tuple>> SampleBatch(size_t, size_t count,
                                          Rng& rng) override {
@@ -259,7 +255,7 @@ class FreshWalkBatchSampler : public BatchSampler {
         sink_->rejected_seconds += dt;
         continue;
       }
-      if (oracle_.Owner(outcome.tuple) != j) {
+      if (FirstOwner(probers_, outcome.tuple) != j) {
         ++sink_->rejected_cover;
         double dt = SecondsSince(start);
         sink_->regular_seconds += dt;
@@ -288,8 +284,6 @@ class FreshWalkBatchSampler : public BatchSampler {
   OnlineUnionSampleStats* sink_;
   /// Joins this worker abandoned (caller folds these into disabled_).
   std::vector<uint8_t>* abandoned_sink_;
-  /// Per-worker memoized f(u) over the shared probers.
-  OwnerOracle oracle_{&probers_};
 };
 
 }  // namespace
@@ -434,9 +428,9 @@ Result<std::vector<Tuple>> OnlineUnionSampler::Sample(size_t n, Rng& rng) {
                           Rng& r) -> Result<uint64_t> {
     std::string key = t.Encode();
     if (options_.mode == UnionSampler::Mode::kMembershipOracle) {
-      // f(u): the first join containing the value (probed exactly, cached).
+      // f(u): the first join containing the value, probed exactly.
       (void)r;
-      if (oracle_.Owner(key, t) != j) {
+      if (FirstOwner(probers_, t) != j) {
         ++stats_.rejected_cover;
         return 0;
       }

@@ -100,7 +100,7 @@ class OnlineUnionSampler {
     /// yields are immutable. Leave null for the fully sequential loop.
     std::shared_ptr<CompositeIndexCache> index_cache;
     /// Membership probers to use in kMembershipOracle mode. When empty
-    /// they are built at Create, which costs one row-membership hash set
+    /// they are built at Create, which costs one row-membership index
     /// per base relation; long-lived servers pass the prepared plan's
     /// probers here so every session shares one immutable set.
     std::vector<JoinMembershipProberPtr> probers;
@@ -141,10 +141,6 @@ class OnlineUnionSampler {
 
   /// Estimates currently in force (refined by backtracking passes).
   const UnionEstimates& current_estimates() const { return estimates_; }
-
-  // Not copyable or movable: oracle_ points into this object's probers_.
-  OnlineUnionSampler(const OnlineUnionSampler&) = delete;
-  OnlineUnionSampler& operator=(const OnlineUnionSampler&) = delete;
 
  private:
   struct PoolEntry {
@@ -189,8 +185,6 @@ class OnlineUnionSampler {
   /// normalizer; fixed at Create so acceptance stays <= 1 as pools drain).
   std::vector<double> pool_min_p_;
   std::vector<JoinMembershipProberPtr> probers_;  // oracle mode
-  /// f(u) memoized over probers_ (oracle mode).
-  OwnerOracle oracle_{&probers_};
   /// Ownership record of the revision protocol (revision mode only).
   std::unordered_map<std::string, int> owner_;
   OnlineUnionSampleStats stats_;

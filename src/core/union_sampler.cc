@@ -685,7 +685,7 @@ Result<std::vector<Tuple>> UnionSampler::Sample(size_t n, Rng& rng) {
         stats_.rejected_seconds += SecondsSince(start);
         continue;  // join-level rejection; retry the same join
       }
-      if (oracle_.Owner(*t) != j) {
+      if (FirstOwner(probers_, *t) != j) {
         // The cover assigns this value to an earlier join: t is outside
         // J'_j. Retry the same join (uniformity on J'_j).
         ++stats_.rejected_cover;
@@ -786,7 +786,7 @@ Result<std::vector<Tuple>> BernoulliUnionSampler::Sample(size_t n, Rng& rng) {
       auto t = samplers_[j]->Sample(rng);
       if (!t.ok()) return t.status();
       // Keep only if J_j is the first join containing the value.
-      if (oracle_.Owner(*t) == static_cast<int>(j)) {
+      if (FirstOwner(probers_, *t) == static_cast<int>(j)) {
         result.push_back(std::move(t).value());
         ++stats_.accepted;
         stats_.accepted_seconds += SecondsSince(start);

@@ -260,10 +260,6 @@ class UnionSampler {
 
   ~UnionSampler();
 
-  // Not copyable or movable: oracle_ points into this object's probers_.
-  UnionSampler(const UnionSampler&) = delete;
-  UnionSampler& operator=(const UnionSampler&) = delete;
-
  private:
   struct RevisionPool;
 
@@ -303,8 +299,6 @@ class UnionSampler {
   /// reality); persisted across Sample calls so resumed sessions do not
   /// rediscover dead covers at full draw-budget cost.
   std::vector<bool> disabled_;
-  /// f(u) = first containing join (oracle mode), memoized over probers_.
-  OwnerOracle oracle_{&probers_};
   /// Revision-mode worker contexts, shared by every call and state.
   std::unique_ptr<RevisionPool> revision_pool_;
 };
@@ -349,10 +343,6 @@ class BernoulliUnionSampler {
 
   const UnionSampleStats& stats() const { return stats_; }
 
-  // Not copyable or movable: oracle_ points into this object's probers_.
-  BernoulliUnionSampler(const BernoulliUnionSampler&) = delete;
-  BernoulliUnionSampler& operator=(const BernoulliUnionSampler&) = delete;
-
  private:
   BernoulliUnionSampler(std::vector<JoinSpecPtr> joins,
                         std::vector<std::unique_ptr<JoinSampler>> samplers,
@@ -368,7 +358,6 @@ class BernoulliUnionSampler {
   UnionEstimates estimates_;
   std::vector<JoinMembershipProberPtr> probers_;
   UnionSampleStats stats_;
-  OwnerOracle oracle_{&probers_};
 };
 
 /// Example 2's broken baseline: per-join uniform samples, set-unioned.

@@ -32,12 +32,19 @@ JoinMembershipProber::Build(JoinSpecPtr join) {
 bool JoinMembershipProber::Contains(const Tuple& output_tuple) const {
   if (!join_->SatisfiesPredicates(output_tuple)) return false;
   for (size_t r = 0; r < indexes_.size(); ++r) {
-    if (!indexes_[r]->Contains(
-            output_tuple.Project(projection_fields_[r]))) {
+    if (!indexes_[r]->Contains(output_tuple, projection_fields_[r])) {
       return false;
     }
   }
   return true;
+}
+
+int FirstOwner(const std::vector<JoinMembershipProberPtr>& probers,
+               const Tuple& tuple) {
+  for (size_t i = 0; i < probers.size(); ++i) {
+    if (probers[i]->Contains(tuple)) return static_cast<int>(i);
+  }
+  return -1;
 }
 
 Result<std::vector<JoinMembershipProberPtr>> BuildProbers(

@@ -6,13 +6,18 @@
 // come from the single tuple t), and t passes J's selection predicates.
 // This is the "(N-1) x (M-1) queries with key" membership operation of
 // §6.2, and the oracle behind the centralized union-sampler mode.
+//
+// Each relation is probed through its RowMembershipIndex, a (hash tag, row
+// id) table over the relation's columns, reading t's values at the
+// relation's output-schema positions in place: a probe projects, encodes
+// and allocates nothing. Equality is encoding identity, so answers are
+// exactly those of a set of `Tuple::Encode()` strings.
 
 #ifndef SUJ_JOIN_MEMBERSHIP_H_
 #define SUJ_JOIN_MEMBERSHIP_H_
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -24,25 +29,20 @@ namespace suj {
 /// \brief Membership oracle for one join.
 class JoinMembershipProber {
  public:
-  /// Builds one projected-row hash set per base relation of `join`.
+  /// Builds one row-id index per base relation of `join`.
   static Result<std::shared_ptr<const JoinMembershipProber>> Build(
       JoinSpecPtr join);
 
-  virtual ~JoinMembershipProber() = default;
-
   /// True iff `output_tuple` (over the join's output schema) is in the join
-  /// result. Virtual so shard routers can dispatch the probe to the one
-  /// shard whose root partition can contain the tuple.
-  virtual bool Contains(const Tuple& output_tuple) const;
+  /// result.
+  bool Contains(const Tuple& output_tuple) const;
 
   const JoinSpecPtr& join() const { return join_; }
 
- protected:
+ private:
   explicit JoinMembershipProber(JoinSpecPtr join) : join_(std::move(join)) {}
 
   JoinSpecPtr join_;
-
- private:
   std::vector<RowMembershipIndexPtr> indexes_;          // per relation
   std::vector<std::vector<int>> projection_fields_;     // output-schema cols
 };
@@ -53,50 +53,24 @@ using JoinMembershipProberPtr = std::shared_ptr<const JoinMembershipProber>;
 Result<std::vector<JoinMembershipProberPtr>> BuildProbers(
     const std::vector<JoinSpecPtr>& joins);
 
-/// \brief Memoized cover-ownership function f(u) = first join containing u.
-///
-/// For a fixed join set this is a pure function of the tuple (-1 iff the
-/// tuple is in no join), so caching by encoding is sound — and so is
-/// giving each parallel worker its own oracle over the shared probers.
-/// The prober vector is referenced, not copied; it must outlive the
-/// oracle and stay unchanged (fine for samplers, whose join sets are
-/// fixed at Create). The memo is capped: beyond `max_entries` distinct
-/// values, lookups still hit but no new entries are stored, so a
-/// long-lived sampler over a huge union degrades to plain probing
-/// instead of growing without bound.
+/// Cover ownership f(u): the index of the first prober whose join
+/// contains `tuple`, or -1 iff no join does. A pure function of the
+/// tuple for a fixed prober set, so any number of threads may call it
+/// over shared probers.
+int FirstOwner(const std::vector<JoinMembershipProberPtr>& probers,
+               const Tuple& tuple);
+
+/// \brief FirstOwner bound to a prober set the caller keeps alive and
+/// unchanged. Stateless: copying it or sharing it across threads is free.
 class OwnerOracle {
  public:
-  /// The default cap (64k entries, single-digit MB of keys) comfortably
-  /// covers union universes where memoization pays, while bounding the
-  /// pure-overhead regime (huge domains, near-zero hit rate) — note each
-  /// parallel worker carries its own oracle, so per-instance memory
-  /// multiplies by the thread count.
-  explicit OwnerOracle(const std::vector<JoinMembershipProberPtr>* probers,
-                       size_t max_entries = size_t{1} << 16)
-      : probers_(probers), max_entries_(max_entries) {}
+  explicit OwnerOracle(const std::vector<JoinMembershipProberPtr>* probers)
+      : probers_(probers) {}
 
-  /// First containing join of `tuple`, memoized.
-  int Owner(const Tuple& tuple) { return Owner(tuple.Encode(), tuple); }
-
-  /// Same, for callers that already hold the canonical encoding.
-  int Owner(const std::string& key, const Tuple& tuple) {
-    auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-    int f = -1;
-    for (size_t i = 0; i < probers_->size(); ++i) {
-      if ((*probers_)[i]->Contains(tuple)) {
-        f = static_cast<int>(i);
-        break;
-      }
-    }
-    if (memo_.size() < max_entries_) memo_.emplace(key, f);
-    return f;
-  }
+  int Owner(const Tuple& tuple) const { return FirstOwner(*probers_, tuple); }
 
  private:
   const std::vector<JoinMembershipProberPtr>* probers_;
-  size_t max_entries_;
-  std::unordered_map<std::string, int> memo_;
 };
 
 }  // namespace suj

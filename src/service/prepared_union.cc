@@ -208,19 +208,12 @@ Result<std::shared_ptr<const PreparedUnion>> PreparedUnion::Build(
   }
 
   // Probers next: the membership oracle f(u) is needed by every session
-  // mode, and the random-walk warm-up shares them too. Hash-sharded
-  // plans probe through the shard router (one shard per tuple); range
-  // sharding cannot route by content and keeps the canonical probers.
-  if (plan->shards_ != nullptr &&
-      options.shard.scheme == ShardScheme::kHashKey) {
-    auto probers = plan->shards_->BuildRoutedProbers();
-    if (!probers.ok()) return probers.status();
-    plan->probers_ = std::move(probers).value();
-  } else {
-    auto probers = BuildProbers(plan->joins_);
-    if (!probers.ok()) return probers.status();
-    plan->probers_ = std::move(probers).value();
-  }
+  // mode, and the random-walk warm-up shares them too. Sharded plans probe
+  // the canonical joins directly: a probe is one row-id table lookup per
+  // relation either way, so routing it to a shard would only add work.
+  auto probers = BuildProbers(plan->joins_);
+  if (!probers.ok()) return probers.status();
+  plan->probers_ = std::move(probers).value();
 
   auto warmup = RunWarmup(plan->joins_, plan->index_cache_.get(),
                           plan->probers_, options, plan->shards_.get());
@@ -461,23 +454,14 @@ Result<std::shared_ptr<const PreparedUnion>> PreparedUnion::ApplyDelta(
   // 6. Probers: per-join reuse (membership sets of unaffected joins are
   // untouched by the fold).
   plan->probers_.reserve(plan->joins_.size());
-  const bool routed =
-      plan->shards_ != nullptr && options.shard.scheme == ShardScheme::kHashKey;
   for (size_t j = 0; j < plan->joins_.size(); ++j) {
     if (((affected_mask >> j) & 1) == 0) {
       plan->probers_.push_back(prev->probers_[j]);
       continue;
     }
-    if (routed) {
-      auto prober =
-          ShardedMembershipProber::Build(shard_plan, static_cast<int>(j));
-      if (!prober.ok()) return prober.status();
-      plan->probers_.push_back(std::move(prober).value());
-    } else {
-      auto prober = JoinMembershipProber::Build(plan->joins_[j]);
-      if (!prober.ok()) return prober.status();
-      plan->probers_.push_back(std::move(prober).value());
-    }
+    auto prober = JoinMembershipProber::Build(plan->joins_[j]);
+    if (!prober.ok()) return prober.status();
+    plan->probers_.push_back(std::move(prober).value());
   }
 
   // 7. Warm-up refresh: kExact re-materializes only affected joins via the

@@ -181,18 +181,6 @@ Result<std::unique_ptr<WanderJoinSampler>> ShardCoordinator::MakeWanderSampler(
   return std::unique_ptr<WanderJoinSampler>(std::move(walker).value());
 }
 
-Result<std::vector<JoinMembershipProberPtr>>
-ShardCoordinator::BuildRoutedProbers() const {
-  std::vector<JoinMembershipProberPtr> probers;
-  probers.reserve(plan_->num_joins());
-  for (size_t j = 0; j < plan_->num_joins(); ++j) {
-    auto prober = ShardedMembershipProber::Build(plan_, static_cast<int>(j));
-    if (!prober.ok()) return prober.status();
-    probers.push_back(std::move(prober).value());
-  }
-  return probers;
-}
-
 std::vector<double> ShardCoordinator::shard_union_weights() const {
   std::lock_guard<std::mutex> lock(weights_mu_);
   return shard_union_weights_;

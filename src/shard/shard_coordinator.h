@@ -108,9 +108,6 @@ class ShardCoordinator {
   /// Routed wander walker for join j (for warm-up estimators and the
   /// online sampler; per-step RNG stream identical to the plain walker).
   Result<std::unique_ptr<WanderJoinSampler>> MakeWanderSampler(int j) const;
-  /// Hash-routed membership probers (kHashKey scheme only; callers fall
-  /// back to canonical probers for kRowRange).
-  Result<std::vector<JoinMembershipProberPtr>> BuildRoutedProbers() const;
 
   /// Per-shard union weights w_s = sum_j (shard s's EW total of join j),
   /// refreshed by RefreshWeights(). w_s / sum w_s is shard s's share of

@@ -158,43 +158,4 @@ WalkOutcome ShardedWanderJoinSampler::Walk(Rng& rng) {
   return out;
 }
 
-Result<std::shared_ptr<const ShardedMembershipProber>>
-ShardedMembershipProber::Build(ShardPlanPtr plan, int join_index) {
-  if (plan == nullptr) return Status::InvalidArgument("null shard plan");
-  if (plan->options().scheme != ShardScheme::kHashKey) {
-    return Status::InvalidArgument(
-        "routed membership probes require ShardScheme::kHashKey");
-  }
-  const ShardedJoinPlan& jp = plan->join_plan(join_index);
-  auto prober = std::shared_ptr<ShardedMembershipProber>(
-      new ShardedMembershipProber(jp.canonical, plan));
-  for (const JoinSpecPtr& spec : jp.shard_specs) {
-    auto inner = JoinMembershipProber::Build(spec);
-    if (!inner.ok()) return inner.status();
-    prober->shard_probers_.push_back(std::move(inner).value());
-  }
-  const Schema& root_schema = jp.canonical->relation(jp.root)->schema();
-  const Schema& out_schema = jp.canonical->output_schema();
-  for (const Field& field : root_schema.fields()) {
-    const int idx = out_schema.FieldIndex(field.name);
-    if (idx < 0) {
-      return Status::Internal("root attribute '" + field.name +
-                              "' missing from output schema");
-    }
-    prober->root_projection_.push_back(idx);
-  }
-  return std::shared_ptr<const ShardedMembershipProber>(prober);
-}
-
-bool ShardedMembershipProber::Contains(const Tuple& output_tuple) const {
-  // The projection of an output tuple onto the root schema IS a full root
-  // row, so its encoding hashes to the vp the planner assigned that row:
-  // exactly one shard's root slice can contain it.
-  Tuple root_row = output_tuple.Project(root_projection_);
-  const uint32_t vp = static_cast<uint32_t>(
-      ShardKeyHash64(root_row.Encode()) %
-      static_cast<uint64_t>(plan_->options().virtual_partitions));
-  return shard_probers_[plan_->shard_of_vp(vp)]->Contains(output_tuple);
-}
-
 }  // namespace suj

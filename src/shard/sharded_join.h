@@ -11,9 +11,9 @@
 // around the existing descent entry points (ExactWeightSampler::
 // DescendColumnar, WanderJoinSampler::WalkFromRoot), consuming the
 // caller's RNG identically to their unsharded counterparts; the union
-// protocol cannot tell them apart byte-for-byte. ShardedMembershipProber
-// routes membership probes to the one shard whose root slice can contain
-// the tuple (kHashKey scheme: the root projection hashes to its vp).
+// protocol cannot tell them apart byte-for-byte. Membership probes need
+// no routing: sharded plans probe the canonical joins with plain
+// JoinMembershipProbers.
 
 #ifndef SUJ_SHARD_SHARDED_JOIN_H_
 #define SUJ_SHARD_SHARDED_JOIN_H_
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "join/exact_weight.h"
-#include "join/membership.h"
 #include "join/wander_join.h"
 #include "obs/metrics.h"
 #include "shard/shard_plan.h"
@@ -122,31 +121,6 @@ class ShardedWanderJoinSampler : public WanderJoinSampler {
   std::vector<std::unique_ptr<WanderJoinSampler>> shard_walkers_;
   std::vector<obs::Counter*> draw_counters_;  // suj_shard_walk_draws_total_s<k>
   obs::Counter* total_draws_ = nullptr;       // suj_shard_walk_draws_total
-};
-
-/// \brief Membership prober routed by the shard key hash.
-///
-/// Requires ShardScheme::kHashKey: an output tuple's projection onto the
-/// root schema is the full root row, so its hash names the one shard
-/// whose root slice can contain it. Probe results are bit-identical to
-/// the canonical prober's (children are shared; the root sets partition
-/// the canonical root), which the conformance tests assert.
-class ShardedMembershipProber : public JoinMembershipProber {
- public:
-  static Result<std::shared_ptr<const ShardedMembershipProber>> Build(
-      ShardPlanPtr plan, int join_index);
-
-  bool Contains(const Tuple& output_tuple) const override;
-
- private:
-  ShardedMembershipProber(JoinSpecPtr join, ShardPlanPtr plan)
-      : JoinMembershipProber(std::move(join)), plan_(std::move(plan)) {}
-
-  ShardPlanPtr plan_;
-  std::vector<JoinMembershipProberPtr> shard_probers_;
-  /// Output-schema indexes of the root attributes in root schema order
-  /// (the projection whose encoding is the shard key).
-  std::vector<int> root_projection_;
 };
 
 }  // namespace suj

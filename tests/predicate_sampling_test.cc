@@ -88,6 +88,27 @@ TEST(PredicateSamplingTest, ParadigmsShareTheFilteredUniverse) {
   }
 }
 
+// The membership oracle applies the join's output predicates: (A=5, B=30,
+// C=4) has its projection in both R0 and S0, but fails C != 4.
+TEST(PredicateSamplingTest, ProberRejectsTupleFailingOutputPredicate) {
+  PredicateFixture f = MakeFixture();
+  const JoinSpecPtr& lazy = f.lazy_joins[0];
+  auto unfiltered =
+      JoinSpec::Create("J0_all", lazy->relations()).value();  // no predicate
+  ASSERT_EQ(unfiltered->output_schema(), lazy->output_schema());
+  auto with_predicate = JoinMembershipProber::Build(lazy).value();
+  auto without_predicate = JoinMembershipProber::Build(unfiltered).value();
+
+  const Tuple failing({Value::Int64(5), Value::Int64(30), Value::Int64(4)});
+  EXPECT_TRUE(without_predicate->Contains(failing));
+  EXPECT_FALSE(lazy->SatisfiesPredicates(failing));
+  EXPECT_FALSE(with_predicate->Contains(failing));
+
+  const Tuple passing({Value::Int64(1), Value::Int64(10), Value::Int64(1)});
+  EXPECT_TRUE(with_predicate->Contains(passing));
+  EXPECT_TRUE(without_predicate->Contains(passing));
+}
+
 TEST(PredicateSamplingTest, BothParadigmsSampleUniformly) {
   PredicateFixture f = MakeFixture();
   auto exact = ExactOverlapCalculator::Create(f.pushdown_joins).value();

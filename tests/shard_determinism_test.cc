@@ -14,8 +14,9 @@
 //    changes how the caller RNG is consumed, sharding must not);
 //  * revision mode: the resumable protocol delivers the same bytes
 //    one-shot and split-across-calls on every shard count;
-//  * hash-routed membership probers agree with the canonical probers on
-//    every union member and on non-members;
+//  * the membership probers sharded plans use (plain probers over the
+//    canonical joins) answer exactly the exact calculator's membership
+//    on every union member and on non-members, at every shard count;
 //  * the full serving stack (PreparedUnion + SamplingSession) delivers
 //    byte-identical streams from a sharded plan and its unsharded
 //    reference in all three session modes (oracle / online / revision).
@@ -228,35 +229,33 @@ TEST(ShardPlanTest, MergedOverlapEstimatorEqualsCanonicalExactly) {
   }
 }
 
-TEST(ShardPlanTest, RoutedProbersMatchCanonicalOnMembersAndNonMembers) {
+TEST(ShardPlanTest, CanonicalProbersMatchExactMembership) {
   auto joins = MakeJoins(703);
   auto base = MakeSharded(joins, 1);
   const auto& canonical = base->plan->canonical_joins();
   auto exact = ExactOverlapCalculator::Create(canonical).value();
+  std::vector<Value> absent;
+  for (size_t c = 0; c < canonical[0]->output_schema().num_fields(); ++c) {
+    absent.push_back(Value::Int64(987654321 + static_cast<int64_t>(c)));
+  }
+  const Tuple missing(std::move(absent));
   for (int k : {2, 4, 8}) {
-    auto sharded = MakeSharded(joins, k);
-    auto routed = sharded->coord->BuildRoutedProbers().value();
-    std::vector<JoinMembershipProberPtr> plain;
-    for (const auto& join : sharded->plan->canonical_joins()) {
-      plain.push_back(JoinMembershipProber::Build(join).value());
-    }
-    ASSERT_EQ(routed.size(), plain.size());
-    for (const auto& [encoded, multiplicity] : exact->membership()) {
-      Tuple t = DecodeTuple(encoded).value();
-      for (size_t j = 0; j < routed.size(); ++j) {
-        EXPECT_EQ(routed[j]->Contains(t), plain[j]->Contains(t))
-            << "shards=" << k << " join=" << j;
+    for (ShardScheme scheme :
+         {ShardScheme::kHashKey, ShardScheme::kRowRange}) {
+      auto sharded = MakeSharded(joins, k, scheme);
+      auto probers = BuildProbers(sharded->coord->joins()).value();
+      ASSERT_EQ(probers.size(), joins.size());
+      for (const auto& [encoded, mask] : exact->membership()) {
+        Tuple t = DecodeTuple(encoded).value();
+        for (size_t j = 0; j < probers.size(); ++j) {
+          EXPECT_EQ(probers[j]->Contains(t), ((mask >> j) & 1) != 0)
+              << "shards=" << k << " scheme=" << static_cast<int>(scheme)
+              << " join=" << j;
+        }
       }
-    }
-    // A tuple outside every join routes somewhere and answers false.
-    std::vector<Value> absent;
-    for (size_t c = 0; c < canonical[0]->output_schema().num_fields();
-         ++c) {
-      absent.push_back(Value::Int64(987654321 + static_cast<int64_t>(c)));
-    }
-    Tuple missing(std::move(absent));
-    for (size_t j = 0; j < routed.size(); ++j) {
-      EXPECT_FALSE(routed[j]->Contains(missing)) << "shards=" << k;
+      for (size_t j = 0; j < probers.size(); ++j) {
+        EXPECT_FALSE(probers[j]->Contains(missing)) << "shards=" << k;
+      }
     }
   }
 }
@@ -306,9 +305,7 @@ TEST(ShardDeterminismTest, OracleShardedMatchesUnsharded) {
         auto merged =
             ShardMergedOverlapEstimator::Create(sharded->plan).value();
         auto shard_estimates = ComputeUnionEstimates(merged.get()).value();
-        auto probers = scheme == ShardScheme::kHashKey
-                           ? sharded->coord->BuildRoutedProbers().value()
-                           : plain_probers;
+        auto probers = BuildProbers(sharded->coord->joins()).value();
         for (size_t ti = 0; ti < std::size(kThreadCounts); ++ti) {
           UnionSampler::Options opts;
           opts.mode = UnionSampler::Mode::kMembershipOracle;
