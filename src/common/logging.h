@@ -2,7 +2,9 @@
 //
 // SUJ_CHECK is used for invariants that indicate a bug when violated (never
 // for data-dependent failures, which return Status). Active in all build
-// types, like RocksDB's assert usage in critical paths.
+// types, like RocksDB's assert usage in critical paths. SUJ_DCHECK is the
+// audit variant for invariants too costly to test in optimized builds: it
+// runs only without NDEBUG (Debug and the sanitizer builds).
 //
 // SUJ_LOG(severity) is the operational log: INFO for rare lifecycle
 // events, WARN for degraded-but-serving conditions (the slow-request log
@@ -152,7 +154,17 @@ class LogMessage {
     if (!(expr)) ::suj::CheckFailed(#expr, __FILE__, __LINE__); \
   } while (0)
 
+// Compiled out (but still type-checked) under NDEBUG.
+#ifdef NDEBUG
+#define SUJ_DCHECK(expr) \
+  do {                   \
+    if (false) {         \
+      (void)(expr);      \
+    }                    \
+  } while (0)
+#else
 #define SUJ_DCHECK(expr) SUJ_CHECK(expr)
+#endif
 
 // Severity tokens accepted by SUJ_LOG. Token-pasted so call sites read
 // SUJ_LOG(WARN) << ...; misspelled severities fail to compile.

@@ -255,7 +255,7 @@ class FreshWalkBatchSampler : public BatchSampler {
         sink_->rejected_seconds += dt;
         continue;
       }
-      if (FirstOwner(probers_, outcome.tuple) != j) {
+      if (!OwnedBy(probers_, outcome.tuple, j)) {
         ++sink_->rejected_cover;
         double dt = SecondsSince(start);
         sink_->regular_seconds += dt;
@@ -430,7 +430,7 @@ Result<std::vector<Tuple>> OnlineUnionSampler::Sample(size_t n, Rng& rng) {
     if (options_.mode == UnionSampler::Mode::kMembershipOracle) {
       // f(u): the first join containing the value, probed exactly.
       (void)r;
-      if (FirstOwner(probers_, t) != j) {
+      if (!OwnedBy(probers_, t, j)) {
         ++stats_.rejected_cover;
         return 0;
       }

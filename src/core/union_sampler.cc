@@ -85,6 +85,59 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+// Algorithm 1's oracle loop: draws until `out` holds `count` draws, each
+// owned by the join it came from (OwnedBy probes only the joins before
+// it). A round whose join yields no owned draw within the budget is
+// abandoned: the join is zeroed in `selector` and appended to
+// `*abandoned`. The clock is read once per draw boundary, each gap
+// charged to the draw that ends it.
+Status DrawOwned(size_t count, Rng& rng, WeightedSelector& selector,
+                 const std::vector<std::unique_ptr<JoinSampler>>& samplers,
+                 const std::vector<JoinMembershipProberPtr>& probers,
+                 uint64_t max_draws_per_round, UnionSampleStats* stats,
+                 RowDrawBatch* out, std::vector<int>* abandoned) {
+  while (out->size() < count) {
+    ++stats->rounds;
+    const int j = static_cast<int>(selector.Sample(rng));
+    JoinSampler& sampler = *samplers[static_cast<size_t>(j)];
+    bool round_done = false;
+    Clock::time_point last = Clock::now();
+    for (uint64_t draw = 0; draw < max_draws_per_round && !round_done;
+         ++draw) {
+      ++stats->join_draws;
+      RowDraw d = out->Next();
+      const bool drawn = sampler.TrySampleRows(rng, &d);
+      // Outside J'_j: the cover assigns the value to an earlier join.
+      // Either way the round retries the same join (uniformity on J'_j).
+      const bool owned = drawn && OwnedBy(probers, d, j);
+      if (drawn && !owned) ++stats->rejected_cover;
+      const Clock::time_point now = Clock::now();
+      (owned ? stats->accepted_seconds : stats->rejected_seconds) +=
+          std::chrono::duration<double>(now - last).count();
+      last = now;
+      if (!owned) continue;
+      out->Commit(d);
+      ++stats->accepted;
+      round_done = true;
+    }
+    if (!round_done) {
+      // The join produced no owned draw within the budget: its estimated
+      // cover overstated an (effectively) empty real cover.
+      ++stats->abandoned_rounds;
+      abandoned->push_back(j);
+      if (!selector.Zero(static_cast<size_t>(j)).ok()) {
+        return AllCoversAbandoned();
+      }
+    }
+  }
+  return Status::OK();
+}
+
+void FlushSamplerMetrics(
+    const std::vector<std::unique_ptr<JoinSampler>>& samplers) {
+  for (const auto& s : samplers) s->FlushMetrics();
+}
+
 Status ValidateSamplerSet(
     const std::vector<JoinSpecPtr>& joins,
     const std::vector<std::unique_ptr<JoinSampler>>& samplers) {
@@ -104,6 +157,64 @@ Status ValidateSamplerSet(
   }
   return Status::OK();
 }
+
+// What one oracle call's fan-out reads and writes, bound into every worker
+// context for the fan-out: the live selection weights frozen at the
+// call's start, and per-batch slots — each written only by the worker
+// that claims the batch — for the joins abandoned in that batch.
+struct OracleCall {
+  const std::vector<double>* weights;
+  std::vector<std::vector<int>> abandoned;
+};
+
+// One worker's context for oracle mode: the oracle loop run per batch
+// over the worker's own join samplers and the shared probers. A batch
+// starts from the call's frozen weights, so its draws are a pure function
+// of (seed, batch index) whichever worker claims it. Contexts live in the
+// UnionSampler's pool and serve every call; only stats_ accumulates.
+class OracleBatchSampler : public DrawBatchSampler {
+ public:
+  OracleBatchSampler(std::vector<JoinSpecPtr> joins,
+                     std::vector<std::unique_ptr<JoinSampler>> samplers,
+                     const std::vector<JoinMembershipProberPtr>* probers,
+                     uint64_t max_draws_per_round)
+      : joins_(std::move(joins)),
+        samplers_(std::move(samplers)),
+        probers_(probers),
+        max_draws_per_round_(max_draws_per_round) {}
+
+  /// Points the next fan-out at `call` (nullptr unbinds). Called serially
+  /// between fan-outs.
+  void Bind(OracleCall* call) { call_ = call; }
+
+  Result<RowDrawBatch> SampleBatch(size_t batch_index, size_t count,
+                                   Rng& rng) override {
+    SUJ_CHECK(call_ != nullptr);  // Bind precedes every fan-out
+    // Abandonment found here zeroes the join for the rest of this batch
+    // only; the call folds the batch's slot in after the fan-out.
+    auto selector = WeightedSelector::Build(*call_->weights);
+    if (!selector.ok()) return AllCoversAbandoned();
+    RowDrawBatch out(joins_);
+    out.Reserve(count);
+    SUJ_RETURN_NOT_OK(DrawOwned(count, rng, *selector, samplers_, *probers_,
+                                max_draws_per_round_, &stats_, &out,
+                                &call_->abandoned[batch_index]));
+    return out;
+  }
+
+  UnionSampleStats stats() const override { return stats_; }
+  /// Stats since the previous TakeStats (the per-call fold).
+  UnionSampleStats TakeStats() { return std::exchange(stats_, {}); }
+  void FlushMetrics() { FlushSamplerMetrics(samplers_); }
+
+ private:
+  std::vector<JoinSpecPtr> joins_;
+  std::vector<std::unique_ptr<JoinSampler>> samplers_;
+  const std::vector<JoinMembershipProberPtr>* probers_;
+  uint64_t max_draws_per_round_;
+  OracleCall* call_ = nullptr;
+  UnionSampleStats stats_;
+};
 
 // What one revision epoch's fan-out reads and writes, bound into every
 // worker context for the fan-out: the state's live selection weights, a
@@ -230,6 +341,7 @@ class RevisionBatchSampler : public BatchSampler {
   UnionSampleStats stats() const override { return stats_; }
   /// Stats since the previous TakeStats (the epoch driver's per-call fold).
   UnionSampleStats TakeStats() { return std::exchange(stats_, {}); }
+  void FlushMetrics() { FlushSamplerMetrics(samplers_); }
 
  private:
   std::vector<std::unique_ptr<JoinSampler>> samplers_;
@@ -325,80 +437,78 @@ Result<std::unique_ptr<UnionSampler>> UnionSampler::Create(
                        std::move(estimates), std::move(probers), options));
 }
 
-Result<std::vector<Tuple>> UnionSampler::SampleParallel(size_t n,
-                                                        uint64_t seed) {
-  // Each worker owns a private sequential UnionSampler over the shared
-  // joins/probers and its own sampler set. Oracle-mode batches carry no
-  // cross-batch state, so batch output depends only on the batch RNG —
-  // the executor's determinism contract.
-  //
-  // Abandonment and resumability: covers the parent already knows are
-  // dead are frozen out of the worker estimates up front, so later calls
-  // never re-pay for them. A cover newly abandoned DURING this call is
-  // reported through a per-worker sink and folded into disabled_ only
-  // after the whole fan-out; inside the fan-out every batch restarts
-  // from the frozen set (the sink records, then resets, the worker's
-  // discovery), because batch contents must never depend on which
-  // worker ran the previous batches.
-  UnionEstimates frozen = estimates_;
-  SUJ_ASSIGN_OR_RETURN(frozen.cover_sizes, LiveWeights());
+// The sampler's oracle worker contexts, built on the first parallel
+// oracle call and reused by every later one.
+struct UnionSampler::OraclePool {
+  ParallelUnionExecutor executor;
+  std::vector<OracleBatchSampler*> contexts;  // borrowed from `pool`
+  WorkerContextPoolOf<RowDrawBatch> pool;
+};
 
-  class WorkerBatchSampler : public BatchSampler {
-   public:
-    WorkerBatchSampler(std::unique_ptr<UnionSampler> inner,
-                       std::vector<uint8_t>* abandoned_sink)
-        : inner_(std::move(inner)), abandoned_sink_(abandoned_sink) {}
-    Result<std::vector<Tuple>> SampleBatch(size_t, size_t count,
-                                           Rng& rng) override {
-      auto result = inner_->Sample(count, rng);
-      for (size_t j = 0; j < inner_->disabled_.size(); ++j) {
-        if (inner_->disabled_[j]) {
-          (*abandoned_sink_)[j] = 1;
-          inner_->disabled_[j] = false;  // next batch: frozen set again
-        }
-      }
-      return result;
-    }
-    UnionSampleStats stats() const override { return inner_->stats(); }
-
-   private:
-    std::unique_ptr<UnionSampler> inner_;
-    std::vector<uint8_t>* abandoned_sink_;
-  };
-
+Status UnionSampler::EnsureOraclePool() {
+  if (oracle_pool_ != nullptr) return Status::OK();
   ParallelUnionExecutor::Options exec_options;
   exec_options.num_threads = options_.num_threads;
   exec_options.batch_size = options_.batch_size;
   ParallelUnionExecutor executor(exec_options);
-  const size_t workers = executor.EffectiveThreads(n);
-
-  std::vector<std::vector<uint8_t>> worker_abandoned(
-      workers, std::vector<uint8_t>(joins_.size(), 0));
-  Options worker_options = options_;
-  worker_options.num_threads = 1;
-  worker_options.sampler_factory = nullptr;
-  auto factory = [&](size_t worker) -> Result<std::unique_ptr<BatchSampler>> {
-    auto samplers = options_.sampler_factory();
-    if (!samplers.ok()) return samplers.status();
-    auto inner = Create(joins_, std::move(*samplers), frozen, probers_,
-                        worker_options);
-    if (!inner.ok()) return inner.status();
-    return std::unique_ptr<BatchSampler>(new WorkerBatchSampler(
-        std::move(*inner), &worker_abandoned[worker]));
+  const size_t width = executor.options().num_threads;
+  std::vector<OracleBatchSampler*> contexts(width, nullptr);
+  auto factory =
+      [&](size_t worker) -> Result<std::unique_ptr<DrawBatchSampler>> {
+    SUJ_ASSIGN_OR_RETURN(auto samplers, options_.sampler_factory());
+    SUJ_RETURN_NOT_OK(ValidateSamplerSet(joins_, samplers));
+    auto context = std::make_unique<OracleBatchSampler>(
+        joins_, std::move(samplers), &probers_,
+        options_.max_draws_per_round);
+    contexts[worker] = context.get();
+    return std::unique_ptr<DrawBatchSampler>(std::move(context));
   };
+  SUJ_ASSIGN_OR_RETURN(
+      WorkerContextPoolOf<RowDrawBatch> pool,
+      WorkerContextPoolOf<RowDrawBatch>::Build(width, factory));
+  // Contexts are counted when constructed: once per sampler lifetime.
+  stats_.parallel_workers += pool.size();
+  oracle_pool_.reset(
+      new OraclePool{executor, std::move(contexts), std::move(pool)});
+  return Status::OK();
+}
 
+Result<RowDrawBatch> UnionSampler::SampleParallel(size_t n, uint64_t seed) {
+  // Oracle-mode batches carry no cross-batch state, so batch output
+  // depends only on the batch RNG — the executor's determinism contract.
+  //
+  // Abandonment and resumability: covers the sampler already knows are
+  // dead are frozen out of this call's weights up front, so later calls
+  // never re-pay for them. A cover newly abandoned DURING this call is
+  // recorded in its batch's slot and folded into disabled_ only after the
+  // whole fan-out; inside the fan-out every batch restarts from the
+  // frozen weights, because batch contents must never depend on which
+  // worker ran the previous batches.
+  SUJ_ASSIGN_OR_RETURN(std::vector<double> weights, LiveWeights());
+  SUJ_RETURN_NOT_OK(EnsureOraclePool());
+  OraclePool& workers = *oracle_pool_;
+  const size_t batch = workers.executor.options().batch_size;
+  OracleCall call{&weights,
+                  std::vector<std::vector<int>>((n + batch - 1) / batch)};
+  for (auto* context : workers.contexts) context->Bind(&call);
   const std::vector<bool> call_start_disabled = disabled_;
-  auto result = executor.Execute(n, seed, factory, &stats_);
+  auto result = workers.executor.Execute(n, seed, workers.pool, &stats_);
+  // The contexts outlive the call: each hands over what it accumulated
+  // during it, error or not. Contexts carry no plan id, so the merge
+  // cannot fail.
+  for (auto* context : workers.contexts) {
+    context->Bind(nullptr);
+    SUJ_CHECK(stats_.MergeFrom(context->TakeStats()).ok());
+    context->FlushMetrics();
+  }
   if (!result.ok()) return result.status();
   // The documented abandonment boundary: a cover abandoned DURING this
   // call takes effect only from the next call, so the exclusion set must
   // be untouched until this post-fan-out fold (anything else would let
   // batch contents depend on scheduling).
   SUJ_CHECK(disabled_ == call_start_disabled);
-  for (const auto& mask : worker_abandoned) {
-    for (size_t j = 0; j < joins_.size(); ++j) {
-      if (mask[j]) disabled_[j] = true;
-    }
+  for (const auto& slot : call.abandoned) {
+    for (int j : slot) disabled_[j] = true;
   }
   return result;
 }
@@ -616,6 +726,7 @@ Result<std::vector<Tuple>> UnionSampler::SampleRevision(size_t n, Rng& rng,
     // merge cannot fail.
     for (auto* context : workers.contexts) {
       SUJ_CHECK(stats_.MergeFrom(context->TakeStats()).ok());
+      context->FlushMetrics();
     }
     SUJ_RETURN_NOT_OK(run_status);
   }
@@ -652,63 +763,43 @@ Result<std::vector<Tuple>> UnionSampler::Sample(size_t n, Rng& rng,
 }
 
 Result<std::vector<Tuple>> UnionSampler::Sample(size_t n, Rng& rng) {
-  ScopedCoreStatsExport obs_export(&stats_);
   if (options_.mode == Mode::kRevision) {
+    ScopedCoreStatsExport obs_export(&stats_);
     RevisionState call_state;
     return SampleRevision(n, rng, call_state, /*call_local=*/true);
   }
+  SUJ_ASSIGN_OR_RETURN(RowDrawBatch draws, SampleDraws(n, rng));
+  return draws.Materialize();
+}
+
+Result<RowDrawBatch> UnionSampler::SampleDraws(size_t n, Rng& rng) {
+  if (options_.mode != Mode::kMembershipOracle) {
+    return Status::InvalidArgument(
+        "row-draw sampling requires Mode::kMembershipOracle");
+  }
+  ScopedCoreStatsExport obs_export(&stats_);
   if (options_.sampler_factory != nullptr) {
     // One draw fixes the substream seed; the caller's RNG advances the
     // same way for every thread count.
     return SampleParallel(n, rng.Next());
   }
-  std::vector<Tuple> result;
-  result.reserve(n);
-
   // O(1) alias-backed join selection; rebuilt only on abandonment (at
   // most once per join per call).
   SUJ_ASSIGN_OR_RETURN(std::vector<double> weights, LiveWeights());
   auto selector = WeightedSelector::Build(std::move(weights));
   if (!selector.ok()) return AllCoversAbandoned();
-
-  while (result.size() < n) {
-    ++stats_.rounds;
-    int j = static_cast<int>(selector->Sample(rng));
-
-    bool round_done = false;
-    for (uint64_t draw = 0; draw < options_.max_draws_per_round && !round_done;
-         ++draw) {
-      auto start = Clock::now();
-      ++stats_.join_draws;
-      std::optional<Tuple> t = samplers_[j]->TrySample(rng);
-      if (!t.has_value()) {
-        stats_.rejected_seconds += SecondsSince(start);
-        continue;  // join-level rejection; retry the same join
-      }
-      if (FirstOwner(probers_, *t) != j) {
-        // The cover assigns this value to an earlier join: t is outside
-        // J'_j. Retry the same join (uniformity on J'_j).
-        ++stats_.rejected_cover;
-        stats_.rejected_seconds += SecondsSince(start);
-        continue;
-      }
-      result.push_back(std::move(*t));
-      ++stats_.accepted;
-      stats_.accepted_seconds += SecondsSince(start);
-      round_done = true;
-    }
-    if (!round_done) {
-      // The join produced no owned tuple within the budget: its estimated
-      // cover overstated an (effectively) empty real cover. Stop selecting
-      // it — in this call and every later one on this instance.
-      ++stats_.abandoned_rounds;
-      disabled_[j] = true;
-      if (!selector->Zero(static_cast<size_t>(j)).ok()) {
-        return AllCoversAbandoned();
-      }
-    }
-  }
-  return result;
+  RowDrawBatch out(joins_);
+  out.Reserve(n);
+  std::vector<int> abandoned;
+  const Status drawn =
+      DrawOwned(n, rng, *selector, samplers_, probers_,
+                options_.max_draws_per_round, &stats_, &out, &abandoned);
+  // An abandoned join stops being selected in this call (DrawOwned zeroed
+  // it) and in every later one on this instance.
+  for (int j : abandoned) disabled_[j] = true;
+  FlushSamplerMetrics(samplers_);
+  SUJ_RETURN_NOT_OK(drawn);
+  return out;
 }
 
 JoinSampleStats UnionSampler::AggregatedJoinStats() const {
@@ -751,6 +842,7 @@ Result<std::vector<Tuple>> DisjointUnionSampler::Sample(size_t n, Rng& rng) {
     if (!t.ok()) return t.status();
     result.push_back(std::move(t).value());
   }
+  FlushSamplerMetrics(samplers_);
   return result;
 }
 
@@ -771,23 +863,25 @@ Result<std::unique_ptr<BernoulliUnionSampler>> BernoulliUnionSampler::Create(
 }
 
 Result<std::vector<Tuple>> BernoulliUnionSampler::Sample(size_t n, Rng& rng) {
-  std::vector<Tuple> result;
-  result.reserve(n);
+  RowDrawBatch result(joins_);
+  result.Reserve(n);
   const double u = std::max(estimates_.union_size_eq1, 1e-12);
-  while (result.size() < n) {
+  Status status = Status::OK();
+  while (result.size() < n && status.ok()) {
     ++stats_.rounds;
     // Every join fires independently with probability |J_j| / |U|.
     for (size_t j = 0; j < joins_.size() && result.size() < n; ++j) {
       double p = std::min(1.0, estimates_.join_sizes[j] / u);
       if (!rng.Bernoulli(p)) continue;
       if (samplers_[j]->IsEmpty()) continue;
-      auto start = std::chrono::steady_clock::now();
+      auto start = Clock::now();
       ++stats_.join_draws;
-      auto t = samplers_[j]->Sample(rng);
-      if (!t.ok()) return t.status();
+      RowDraw d = result.Next();
+      status = samplers_[j]->SampleRows(rng, &d);
+      if (!status.ok()) break;
       // Keep only if J_j is the first join containing the value.
-      if (FirstOwner(probers_, *t) == static_cast<int>(j)) {
-        result.push_back(std::move(t).value());
+      if (OwnedBy(probers_, d, static_cast<int>(j))) {
+        result.Commit(d);
         ++stats_.accepted;
         stats_.accepted_seconds += SecondsSince(start);
       } else {
@@ -796,7 +890,9 @@ Result<std::vector<Tuple>> BernoulliUnionSampler::Sample(size_t n, Rng& rng) {
       }
     }
   }
-  return result;
+  FlushSamplerMetrics(samplers_);
+  SUJ_RETURN_NOT_OK(status);
+  return result.Materialize();
 }
 
 Result<std::vector<Tuple>> NaiveUnionOfSamples(

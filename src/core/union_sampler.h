@@ -13,7 +13,10 @@
 //    sampler retries the SAME join until it yields a kept tuple (that is
 //    what makes each round uniform on J'_j). Two ownership modes:
 //      - kMembershipOracle (centralized): ownership f(u) = first join
-//        containing u, checked exactly with hash probes;
+//        containing u, checked exactly with hash probes of the joins
+//        before the drawing one (OwnedBy, join/membership.h). Draws stay
+//        row ids (RowDrawBatch) until a caller materializes them or the
+//        server writes their bytes;
 //      - kRevision (decentralized, the paper's Algorithm 1): ownership is
 //        learned on the fly; later samples from an earlier join trigger a
 //        revision that re-assigns the value and purges stale copies.
@@ -35,6 +38,7 @@
 #include "core/union_size_model.h"
 #include "join/join_sampler.h"
 #include "join/membership.h"
+#include "join/row_draw.h"
 
 namespace suj {
 
@@ -66,13 +70,11 @@ struct UnionSampleStats {
   // Executor accounting (zero for the sequential oracle loop).
   uint64_t parallel_batches = 0;    ///< batches fanned out by the executor
   /// Worker contexts constructed — a count of contexts, not of fan-outs.
-  /// The oracle fan-out builds its contexts once per Sample call, so a
-  /// call at num_threads=T adds at most T here. The revision driver
-  /// builds its pool once per SAMPLER (lazily, on the first call that
-  /// generates) and reuses it for every epoch of every call and
-  /// RevisionState, so a sampler adds at most T over its whole life (1
-  /// with Create-time samplers); tests assert both via factory-invocation
-  /// counters.
+  /// Each mode builds its pool once per SAMPLER (lazily, on its first
+  /// fan-out) and reuses it for every later call — and, in revision mode,
+  /// every epoch and RevisionState — so a sampler adds at most T over its
+  /// whole life at num_threads=T (1 for revision with Create-time
+  /// samplers); tests assert this via factory-invocation counters.
   uint64_t parallel_workers = 0;
   /// Accepted tuples clipped at batch boundaries (multi-instance
   /// overshoot; the sequential path clips only once per call). Non-
@@ -200,16 +202,7 @@ class UnionSampler {
   /// draw budget per call. Service sessions rely on this to serve many
   /// requests from one long-lived sampler.
   ///
-  /// kMembershipOracle: without a sampler_factory this is the sequential
-  /// loop over the Create-time samplers. With one, the draw fans out over
-  /// the parallel executor: `rng` is consumed for exactly one value (the
-  /// substream seed), so the output is a deterministic function of the
-  /// caller's RNG state and n, independent of the thread count. A cover
-  /// abandoned mid-call takes effect from the NEXT call: within the call
-  /// every batch keeps the call-start exclusion set, so batch contents
-  /// never depend on scheduling (SUJ_CHECK-asserted after the fan-out).
-  /// Join-level stats then accrue in the per-worker samplers, not in the
-  /// ones passed to Create.
+  /// kMembershipOracle: SampleDraws, materialized.
   ///
   /// kRevision: runs the epoch driver (see the RevisionState overload)
   /// over a call-local RevisionState whose epochs are clamped to the
@@ -218,6 +211,23 @@ class UnionSampler {
   /// are beyond purging anyway); abandonment does carry over. `rng` is
   /// consumed for exactly one value per call.
   Result<std::vector<Tuple>> Sample(size_t n, Rng& rng);
+
+  /// Oracle-mode sampling (requires Mode::kMembershipOracle; revision
+  /// samplers refuse it with InvalidArgument): the draws Sample(n, rng)
+  /// returns, as row draws over joins() that no Tuple has been built
+  /// for. Without a sampler_factory this is the sequential loop over the
+  /// Create-time samplers. With one, the draw fans out over the parallel
+  /// executor on worker contexts the sampler builds once, on its first
+  /// fan-out: `rng` is consumed for exactly one value (the substream
+  /// seed), so the output is a deterministic function of the caller's RNG
+  /// state and n, independent of the thread count. The live weights are
+  /// frozen at each call's start, and a cover abandoned mid-call takes
+  /// effect from the NEXT call: within the call every batch keeps the
+  /// call-start exclusion set, so batch contents never depend on
+  /// scheduling (SUJ_CHECK-asserted after the fan-out). Join-level stats
+  /// then accrue in the per-worker samplers, not in the ones passed to
+  /// Create.
+  Result<RowDrawBatch> SampleDraws(size_t n, Rng& rng);
 
   /// Resumable revision-mode sampling (requires Mode::kRevision; oracle
   /// samplers refuse it with InvalidArgument): continues the
@@ -261,6 +271,7 @@ class UnionSampler {
   ~UnionSampler();
 
  private:
+  struct OraclePool;
   struct RevisionPool;
 
   UnionSampler(std::vector<JoinSpecPtr> joins,
@@ -268,8 +279,12 @@ class UnionSampler {
                UnionEstimates estimates,
                std::vector<JoinMembershipProberPtr> probers, Options options);
 
-  /// Parallel fan-out of Sample, oracle mode: one batched fan-out.
-  Result<std::vector<Tuple>> SampleParallel(size_t n, uint64_t seed);
+  /// Parallel fan-out of SampleDraws: one batched fan-out over the
+  /// oracle pool.
+  Result<RowDrawBatch> SampleParallel(size_t n, uint64_t seed);
+
+  /// Builds oracle_pool_ on first use; later calls are no-ops.
+  Status EnsureOraclePool();
 
   /// The revision epoch driver behind both revision Sample overloads:
   /// generates epochs over `state` until it buffers n tuples, then
@@ -299,6 +314,8 @@ class UnionSampler {
   /// reality); persisted across Sample calls so resumed sessions do not
   /// rediscover dead covers at full draw-budget cost.
   std::vector<bool> disabled_;
+  /// Oracle-mode worker contexts, shared by every call.
+  std::unique_ptr<OraclePool> oracle_pool_;
   /// Revision-mode worker contexts, shared by every call and state.
   std::unique_ptr<RevisionPool> revision_pool_;
 };

@@ -18,6 +18,16 @@ size_t HardwareThreads() {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
+// The batch operations the fan-out needs, per batch type.
+void Truncate(std::vector<Tuple>* batch, size_t n) { batch->resize(n); }
+void Truncate(RowDrawBatch* batch, size_t n) { batch->Truncate(n); }
+void Reserve(std::vector<Tuple>* batch, size_t n) { batch->reserve(n); }
+void Reserve(RowDrawBatch* batch, size_t n) { batch->Reserve(n); }
+void AppendTo(std::vector<Tuple>* out, std::vector<Tuple>&& batch) {
+  for (auto& t : batch) out->push_back(std::move(t));
+}
+void AppendTo(RowDrawBatch* out, RowDrawBatch&& batch) { out->Append(batch); }
+
 }  // namespace
 
 ParallelUnionExecutor::ParallelUnionExecutor(Options options)
@@ -31,9 +41,10 @@ size_t ParallelUnionExecutor::EffectiveThreads(size_t n) const {
   return std::min(options_.num_threads, batches == 0 ? size_t{1} : batches);
 }
 
-Result<std::vector<Tuple>> ParallelUnionExecutor::Execute(
-    size_t n, uint64_t seed, WorkerContextPool& pool,
-    UnionSampleStats* stats) {
+template <typename Batch>
+Result<Batch> ParallelUnionExecutor::Execute(size_t n, uint64_t seed,
+                                             WorkerContextPoolOf<Batch>& pool,
+                                             UnionSampleStats* stats) {
   auto wall_start = std::chrono::steady_clock::now();
   const size_t batch = options_.batch_size;
   const size_t num_batches = (n + batch - 1) / batch;
@@ -45,7 +56,7 @@ Result<std::vector<Tuple>> ParallelUnionExecutor::Execute(
   // and small epochs simply engage a prefix of it).
   const size_t workers = std::min(pool.size(), num_batches);
 
-  std::vector<std::vector<Tuple>> slots(num_batches);
+  std::vector<Batch> slots(num_batches);
   std::vector<Status> worker_status(workers, Status::OK());
   std::vector<uint64_t> worker_clipped(workers, 0);
   std::atomic<size_t> next_batch{0};
@@ -74,7 +85,7 @@ Result<std::vector<Tuple>> ParallelUnionExecutor::Execute(
       }
       if (drawn->size() > count) {
         worker_clipped[w] += drawn->size() - count;
-        drawn->resize(count);
+        Truncate(&*drawn, count);
       }
       if (drawn->size() < count) {
         worker_status[w] = Status::Internal(
@@ -121,13 +132,19 @@ Result<std::vector<Tuple>> ParallelUnionExecutor::Execute(
           std::chrono::steady_clock::now() - wall_start)
           .count()));
 
-  std::vector<Tuple> result;
-  result.reserve(n);
-  for (auto& slot : slots) {
-    for (auto& t : slot) result.push_back(std::move(t));
+  Batch result = num_batches > 0 ? std::move(slots[0]) : Batch();
+  Reserve(&result, n);
+  for (size_t i = 1; i < num_batches; ++i) {
+    AppendTo(&result, std::move(slots[i]));
   }
   return result;
 }
+
+template Result<std::vector<Tuple>> ParallelUnionExecutor::Execute(
+    size_t, uint64_t, WorkerContextPoolOf<std::vector<Tuple>>&,
+    UnionSampleStats*);
+template Result<RowDrawBatch> ParallelUnionExecutor::Execute(
+    size_t, uint64_t, WorkerContextPoolOf<RowDrawBatch>&, UnionSampleStats*);
 
 Result<std::vector<Tuple>> ParallelUnionExecutor::Execute(
     size_t n, uint64_t seed, const BatchSamplerFactory& factory,
@@ -136,7 +153,7 @@ Result<std::vector<Tuple>> ParallelUnionExecutor::Execute(
   // (unlike the pool overload) their stats merge here.
   auto pool = WorkerContextPool::Build(EffectiveThreads(n), factory);
   if (!pool.ok()) return pool.status();
-  auto result = Execute(n, seed, *pool, stats);
+  auto result = Execute<std::vector<Tuple>>(n, seed, *pool, stats);
   if (!result.ok()) return result.status();
   if (stats != nullptr) {
     SUJ_RETURN_NOT_OK(pool->MergeStatsInto(stats));

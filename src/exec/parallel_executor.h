@@ -17,10 +17,15 @@
 //
 // Two entry points: the factory-based Execute builds fresh contexts for
 // one fan-out (one-shot callers), while the WorkerContextPool overload
-// runs a fan-out over contexts the caller built once and reuses — the
-// revision-mode epoch driver keeps one pool per UnionSampler and fans
-// out over it once per epoch of every call (see
-// exec/worker_context_pool.h for the stats-merge contract).
+// runs a fan-out over contexts the caller built once and reuses — a
+// UnionSampler keeps one pool per mode and fans out over it once per
+// oracle call or revision epoch (see exec/worker_context_pool.h for the
+// stats-merge contract).
+//
+// A batch is whatever its contexts produce: tuples (revision, online) or
+// oracle-mode row draws (RowDrawBatch), which stay row ids until the
+// caller materializes them or writes their bytes. The fan-out is one
+// template over the batch type, instantiated for both.
 
 #ifndef SUJ_EXEC_PARALLEL_EXECUTOR_H_
 #define SUJ_EXEC_PARALLEL_EXECUTOR_H_
@@ -32,18 +37,21 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "core/union_sampler.h"
+#include "join/row_draw.h"
 
 namespace suj {
 
-/// \brief One worker's sampling context.
+/// \brief One worker's sampling context, producing batches of type
+/// `Batch` (std::vector<Tuple> or RowDrawBatch).
 ///
 /// Contract for determinism: SampleBatch(batch_index, count, rng) must be
 /// a pure function of (count, rng) plus state that is immutable or reset
 /// per call. Memoization of pure functions (e.g. ownership caches) is
 /// fine; carrying sampling-relevant state between batches is not.
-class BatchSampler {
+template <typename Batch>
+class BatchSamplerOf {
  public:
-  virtual ~BatchSampler() = default;
+  virtual ~BatchSamplerOf() = default;
 
   /// Draws at least `count` tuples for batch `batch_index` (overshoot is
   /// truncated by the executor, deterministically, since truncation
@@ -52,20 +60,28 @@ class BatchSampler {
   /// protocol's ownership claims) write it to slot `batch_index`, which
   /// exactly one worker claims per fan-out, so the journal is race-free
   /// and replayable in batch order. Samplers without side data ignore it.
-  virtual Result<std::vector<Tuple>> SampleBatch(size_t batch_index,
-                                                 size_t count, Rng& rng) = 0;
+  virtual Result<Batch> SampleBatch(size_t batch_index, size_t count,
+                                    Rng& rng) = 0;
 
   /// Cumulative union-level stats over every batch this worker ran.
   virtual UnionSampleStats stats() const = 0;
 };
 
+using BatchSampler = BatchSamplerOf<std::vector<Tuple>>;
+using DrawBatchSampler = BatchSamplerOf<RowDrawBatch>;
+
 /// Builds the context for worker `worker_index` (0 <= index <
 /// EffectiveThreads(n), each passed exactly once). The index lets callers
 /// bind per-worker output slots without trusting call order or count.
-using BatchSamplerFactory =
-    std::function<Result<std::unique_ptr<BatchSampler>>(size_t worker_index)>;
+template <typename Batch>
+using BatchSamplerFactoryOf =
+    std::function<Result<std::unique_ptr<BatchSamplerOf<Batch>>>(
+        size_t worker_index)>;
+using BatchSamplerFactory = BatchSamplerFactoryOf<std::vector<Tuple>>;
 
-class WorkerContextPool;
+template <typename Batch>
+class WorkerContextPoolOf;
+using WorkerContextPool = WorkerContextPoolOf<std::vector<Tuple>>;
 
 /// \brief Deterministic batched fan-out over a worker pool.
 class ParallelUnionExecutor {
@@ -96,9 +112,10 @@ class ParallelUnionExecutor {
   /// parallel_seconds) — the contexts outlive this call, so their
   /// cumulative sampler stats and the context count must be folded in
   /// by the pool's owner, never per fan-out.
-  Result<std::vector<Tuple>> Execute(size_t n, uint64_t seed,
-                                     WorkerContextPool& pool,
-                                     UnionSampleStats* stats = nullptr);
+  template <typename Batch>
+  Result<Batch> Execute(size_t n, uint64_t seed,
+                        WorkerContextPoolOf<Batch>& pool,
+                        UnionSampleStats* stats = nullptr);
 
   /// Threads the pool will actually use for a request of `n` tuples.
   size_t EffectiveThreads(size_t n) const;

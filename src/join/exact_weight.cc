@@ -100,35 +100,8 @@ Status ExactWeightIndex::BuildColumnar(
     CompositeIndexCache* cache, bool with_root_alias) {
   const JoinSpec& spec = *join_;
   const JoinGraph& graph = spec.graph();
-  const Schema& out_schema = spec.output_schema();
   const int n = spec.num_relations();
   const auto& order = graph.tree_order();
-
-  // Materialization plan: in tree order, the first relation carrying an
-  // output field writes it; later carriers only check it (and only cyclic
-  // trees ever need those checks evaluated). A child's group is probed
-  // from its parent's row even when the parent is not an edge attribute's
-  // first assigner: tree edge attributes are exactly those parent and
-  // child share, so the parent's checks() reject any walk whose parent
-  // value disagrees with the assigned one.
-  writes_.assign(n, {});
-  checks_.assign(n, {});
-  std::vector<bool> assigned(out_schema.num_fields(), false);
-  for (int r : order) {
-    const Schema& rel_schema = spec.relation(r)->schema();
-    for (size_t c = 0; c < rel_schema.num_fields(); ++c) {
-      int out_idx = out_schema.FieldIndex(rel_schema.field(c).name);
-      SUJ_CHECK(out_idx >= 0);
-      auto pair = std::make_pair(static_cast<uint16_t>(c),
-                                 static_cast<uint16_t>(out_idx));
-      if (!assigned[out_idx]) {
-        assigned[out_idx] = true;
-        writes_[r].push_back(pair);
-      } else {
-        checks_[r].push_back(pair);
-      }
-    }
-  }
 
   if (total_weight_ <= 0.0) return Status::OK();  // nothing samplable
 
@@ -185,83 +158,63 @@ Result<std::unique_ptr<ExactWeightSampler>> ExactWeightSampler::Create(
     ExactWeightIndexPtr weights) {
   if (weights == nullptr) return Status::InvalidArgument("null weight index");
   JoinSpecPtr join = weights->join();
-  auto sampler = std::unique_ptr<ExactWeightSampler>(
+  return std::unique_ptr<ExactWeightSampler>(
       new ExactWeightSampler(std::move(join), std::move(weights)));
-  sampler->need_checks_ =
-      !sampler->join_->graph().tree_captures_all_constraints();
-  return sampler;
 }
 
-std::optional<Tuple> ExactWeightSampler::TrySample(Rng& rng) {
+bool ExactWeightSampler::TrySampleRows(Rng& rng, RowDraw* draw) {
   if (weights_->TotalWeight() <= 0.0) {
     ++stats_.attempts;
     ++stats_.dead_ends;
-    return std::nullopt;
+    return false;
   }
+  draw->spec = join_.get();
   return DescendColumnar(
-      static_cast<uint32_t>(weights_->root_alias().Sample(rng)), rng);
+      static_cast<uint32_t>(weights_->root_alias().Sample(rng)), rng,
+      draw->rows);
 }
 
-std::optional<Tuple> ExactWeightSampler::Materialize(const uint32_t* chosen,
-                                                     size_t stride,
-                                                     size_t offset) {
+bool ExactWeightSampler::Accept(uint32_t* rows) {
   const JoinSpec& spec = *join_;
-  const Schema& out_schema = spec.output_schema();
-  std::vector<Value> assignment(out_schema.num_fields());
-  for (int r : spec.graph().tree_order()) {
-    const Relation& rel = *spec.relation(r);
-    const uint32_t row = chosen[static_cast<size_t>(r) * stride + offset];
-    for (const auto& [col, out_idx] : weights_->writes(r)) {
-      assignment[out_idx] = rel.GetValue(row, col);
-    }
-    if (need_checks_) {
-      for (const auto& [col, out_idx] : weights_->checks(r)) {
-        if (!(assignment[out_idx] == rel.GetValue(row, col))) {
-          ++stats_.rejections;  // non-tree constraint violated (cyclic join)
-          return std::nullopt;
-        }
-      }
-    }
+  if (spec.needs_checks() && !spec.PassesChecks(rows)) {
+    ++stats_.rejections;  // non-tree constraint violated (cyclic join)
+    return false;
   }
-  Tuple out(std::move(assignment));
-  if (!spec.SatisfiesPredicates(out)) {
+  if (spec.has_predicates() && !spec.SatisfiesPredicates(RowDraw{&spec, rows})) {
     ++stats_.rejections;
-    return std::nullopt;
+    return false;
   }
   ++stats_.successes;
-  return out;
+  return true;
 }
 
-std::optional<Tuple> ExactWeightSampler::DescendColumnar(uint32_t root_row,
-                                                         Rng& rng) {
+bool ExactWeightSampler::DescendColumnar(uint32_t root_row, Rng& rng,
+                                         uint32_t* rows) {
   ++stats_.attempts;
   const JoinGraph& graph = join_->graph();
   const auto& order = graph.tree_order();
   const size_t n = order.size();
 
-  uint32_t chosen[64];
-  SUJ_CHECK(n <= 64);
-  chosen[order[0]] = root_row;
+  rows[order[0]] = root_row;
   for (size_t pos = 1; pos < n; ++pos) {
     const int r = order[pos];
     const auto& edge = weights_->columnar_edge(r);
-    const uint32_t g =
-        (*edge.parent_probe)[chosen[graph.tree_parent()[r]]];
+    const uint32_t g = (*edge.parent_probe)[rows[graph.tree_parent()[r]]];
     if (g == CompositeIndex::kNoGroup) {
       ++stats_.dead_ends;
-      return std::nullopt;
+      return false;
     }
     const uint32_t begin = edge.offsets[g];
     const uint32_t len = edge.offsets[g + 1] - begin;
     if (len == 0) {
       // All candidate rows carry zero weight (pruned subtree): a dead end.
       ++stats_.dead_ends;
-      return std::nullopt;
+      return false;
     }
     const size_t local = edge.alias.SampleGroup(begin, len, rng);
-    chosen[r] = edge.rows[begin + local];
+    rows[r] = edge.rows[begin + local];
   }
-  return Materialize(chosen, 1, 0);
+  return Accept(rows);
 }
 
 size_t ExactWeightSampler::TrySampleBatch(size_t count, Rng& rng,
@@ -352,11 +305,13 @@ size_t ExactWeightSampler::TrySampleBatch(size_t count, Rng& rng,
     }
   }
 
+  const size_t m = static_cast<size_t>(join_->num_relations());
+  uint32_t rows[kMaxJoinRelations];
   for (size_t i = 0; i < count; ++i) {
     if (!batch_alive_[i]) continue;
-    auto t = Materialize(batch_rows_.data(), count, i);
-    if (t.has_value()) {
-      out->push_back(*std::move(t));
+    for (size_t r = 0; r < m; ++r) rows[r] = batch_rows_[r * count + i];
+    if (Accept(rows)) {
+      out->push_back(RowDraw{join_.get(), rows}.Materialize());
       ++appended;
     }
   }

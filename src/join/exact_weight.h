@@ -19,8 +19,8 @@
 // is O(1). A child's group is probed from its tree parent's row. For
 // cyclic joins the parent may not be the first relation to assign an
 // edge attribute; a parent value that disagrees with the assigned one is
-// rejected when the walk is materialized (checks()), so every accepted
-// walk probed with the assigned value.
+// rejected when the walk is accepted (JoinSpec::PassesChecks), so every
+// accepted walk probed with the assigned value.
 
 #ifndef SUJ_JOIN_EXACT_WEIGHT_H_
 #define SUJ_JOIN_EXACT_WEIGHT_H_
@@ -85,19 +85,6 @@ class ExactWeightIndex {
     return columnar_edges_[relation];
   }
 
-  /// Output materialization plan: writes(r) lists (relation column, output
-  /// schema index) pairs relation r contributes as FIRST assigner in tree
-  /// order; checks(r) lists pairs whose output field was assigned by an
-  /// earlier relation and must match (non-empty only for joins whose tree
-  /// misses constraints). Precomputed so the hot loop never resolves field
-  /// names.
-  const std::vector<std::pair<uint16_t, uint16_t>>& writes(int relation) const {
-    return writes_[relation];
-  }
-  const std::vector<std::pair<uint16_t, uint16_t>>& checks(int relation) const {
-    return checks_[relation];
-  }
-
  private:
   friend class ShardedJoinIndex;
 
@@ -119,8 +106,6 @@ class ExactWeightIndex {
   std::vector<std::vector<double>> weights_;
   AliasTable root_alias_;
   std::vector<ColumnarEdge> columnar_edges_;
-  std::vector<std::vector<std::pair<uint16_t, uint16_t>>> writes_;
-  std::vector<std::vector<std::pair<uint16_t, uint16_t>>> checks_;
 };
 
 using ExactWeightIndexPtr = std::shared_ptr<const ExactWeightIndex>;
@@ -134,7 +119,7 @@ class ExactWeightSampler : public JoinSampler {
   static Result<std::unique_ptr<ExactWeightSampler>> Create(
       ExactWeightIndexPtr weights);
 
-  std::optional<Tuple> TrySample(Rng& rng) override;
+  bool TrySampleRows(Rng& rng, RowDraw* draw) override;
 
   /// Columnar batched walk: runs up to `count` attempts level-
   /// synchronously, prefetching the next level's probe/alias cache lines
@@ -147,12 +132,13 @@ class ExactWeightSampler : public JoinSampler {
 
   /// One attempt below an externally chosen root row (requires
   /// TotalWeight() > 0 and a positive-weight `root_row`): samples the
-  /// remaining relations with exactly the RNG consumption TrySample has
-  /// after its root alias draw. Shard routers draw the root from one
-  /// alias table over the concatenated shard root weights and delegate
-  /// here, which keeps sharded output byte-identical to the unsharded
-  /// sampler.
-  std::optional<Tuple> DescendColumnar(uint32_t root_row, Rng& rng);
+  /// remaining relations into `rows` (join() relation order) with exactly
+  /// the RNG consumption TrySampleRows has after its root alias draw, and
+  /// returns whether the walk was accepted. Shard routers draw the root
+  /// from one alias table over the concatenated shard root weights and
+  /// delegate here, which keeps sharded output byte-identical to the
+  /// unsharded sampler.
+  bool DescendColumnar(uint32_t root_row, Rng& rng, uint32_t* rows);
 
   double SizeUpperBound() const override { return weights_->TotalWeight(); }
 
@@ -162,15 +148,11 @@ class ExactWeightSampler : public JoinSampler {
   ExactWeightSampler(JoinSpecPtr join, ExactWeightIndexPtr weights)
       : JoinSampler(std::move(join)), weights_(std::move(weights)) {}
 
-  /// Materializes one walk's chosen rows into an output tuple; the row of
-  /// relation r is `chosen[r * stride + offset]` (stride 1 for a single
-  /// walk, the batch width for batched walks). Returns nullopt on a
-  /// non-tree constraint or predicate rejection.
-  std::optional<Tuple> Materialize(const uint32_t* chosen, size_t stride,
-                                   size_t offset);
+  /// Accepts a complete walk (`rows` in join() relation order) unless it
+  /// breaks a non-tree constraint or a predicate, counting the outcome.
+  bool Accept(uint32_t* rows);
 
   ExactWeightIndexPtr weights_;
-  bool need_checks_ = false;
   // Scratch reused across TrySampleBatch calls (sized on first use).
   std::vector<uint32_t> batch_rows_;   // [relation * count + walk]
   std::vector<uint32_t> batch_begin_;  // per walk: group slice begin

@@ -3,9 +3,15 @@
 // This is the "join random sampling" subroutine of Algorithm 1 (line 7),
 // revisiting Zhao et al.'s framework (§3.2): a sampler draws tuples that are
 // uniform over the join result. A single draw attempt may fail (accept/
-// reject step, dead-end walk, predicate rejection); TrySample surfaces the
-// attempt so cost accounting can distinguish accepted from rejected work,
-// and Sample() retries until success.
+// reject step, dead-end walk, predicate rejection); TrySampleRows surfaces
+// the attempt so cost accounting can distinguish accepted from rejected
+// work, and Sample() retries until success.
+//
+// A draw leaves the sampler as row ids (RowDraw: the chosen row of each
+// relation), already checked against the join's non-tree constraints and
+// predicates. Callers that need a Tuple materialize it (TrySample does);
+// the union samplers probe ownership and write wire bytes straight from
+// the rows.
 
 #ifndef SUJ_JOIN_JOIN_SAMPLER_H_
 #define SUJ_JOIN_JOIN_SAMPLER_H_
@@ -21,7 +27,7 @@ namespace suj {
 
 /// Attempt accounting for rejection-rate analysis (Fig 5f-h).
 struct JoinSampleStats {
-  uint64_t attempts = 0;    ///< TrySample calls
+  uint64_t attempts = 0;    ///< TrySampleRows calls
   uint64_t successes = 0;   ///< accepted tuples
   uint64_t dead_ends = 0;   ///< walks that hit a zero-degree step
   uint64_t rejections = 0;  ///< accept/reject or predicate rejections
@@ -39,10 +45,22 @@ class JoinSampler {
  public:
   virtual ~JoinSampler() = default;
 
-  /// One sampling attempt. Returns a tuple over the join's output schema,
-  /// or nullopt if this attempt was rejected (caller may retry). Every
-  /// returned tuple is uniform over the join result.
-  virtual std::optional<Tuple> TrySample(Rng& rng) = 0;
+  /// One sampling attempt. On success writes the chosen row of each
+  /// relation to `draw->rows` (which must hold join()->num_relations()
+  /// slots), points `draw->spec` at the spec those rows index, and returns
+  /// true; returns false if this attempt was rejected (caller may retry).
+  /// Every accepted draw is uniform over the join result and is a member
+  /// of it by encoding identity, so join()'s membership prober contains it.
+  virtual bool TrySampleRows(Rng& rng, RowDraw* draw) = 0;
+
+  /// TrySampleRows, materialized: a tuple over the join's output schema,
+  /// or nullopt on a rejected attempt. Consumes the RNG identically.
+  std::optional<Tuple> TrySample(Rng& rng);
+
+  /// Publishes counts the sampler keeps locally (per-shard draw counters)
+  /// to the process-wide metrics. Union samplers call it before each of
+  /// their Sample calls returns, so the metrics are exact between calls.
+  virtual void FlushMetrics() {}
 
   /// Upper bound on the join size implied by this sampler's weights
   /// (== exact size for exact-weight samplers on non-cyclic joins).
@@ -52,8 +70,12 @@ class JoinSampler {
   /// succeed).
   virtual bool IsEmpty() const { return SizeUpperBound() <= 0.0; }
 
-  /// Retries TrySample until success. Fails after `max_attempts` attempts
-  /// (guards against sampling an empty or pathologically selective join).
+  /// Retries TrySampleRows until success. Fails after `max_attempts`
+  /// attempts (guards against sampling an empty or pathologically
+  /// selective join).
+  Status SampleRows(Rng& rng, RowDraw* draw,
+                    uint64_t max_attempts = 10'000'000);
+  /// SampleRows, materialized.
   Result<Tuple> Sample(Rng& rng, uint64_t max_attempts = 10'000'000);
 
   const JoinSpecPtr& join() const { return join_; }

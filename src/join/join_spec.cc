@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "common/logging.h"
+
 namespace suj {
 
 Result<std::shared_ptr<const JoinSpec>> JoinSpec::Create(
@@ -33,9 +35,50 @@ Result<std::shared_ptr<const JoinSpec>> JoinSpec::Create(
     fields.push_back({attr_name, type});
   }
 
+  if (relations.size() > static_cast<size_t>(kMaxJoinRelations) ||
+      fields.size() > UINT16_MAX) {
+    return Status::InvalidArgument("join '" + name +
+                                   "' has too many relations or attributes");
+  }
   return std::shared_ptr<const JoinSpec>(new JoinSpec(
       std::move(name), std::move(relations), std::move(graph).value(),
       Schema(std::move(fields)), std::move(output_predicates)));
+}
+
+JoinSpec::JoinSpec(std::string name, std::vector<RelationPtr> relations,
+                   JoinGraph graph, Schema output_schema,
+                   std::vector<Predicate> output_predicates)
+    : name_(std::move(name)),
+      relations_(std::move(relations)),
+      graph_(std::move(graph)),
+      output_schema_(std::move(output_schema)),
+      output_predicates_(std::move(output_predicates)) {
+  for (const auto& p : output_predicates_) {
+    predicate_fields_.push_back(output_schema_.FieldIndex(p.attribute()));
+  }
+  // In tree order, the first relation carrying an output field writes it;
+  // later carriers only check it. Sampling walks probe a child's group
+  // from its tree parent's row even when the parent is not an edge
+  // attribute's first assigner: tree edge attributes are exactly those
+  // parent and child share, so the parent's checks reject any walk whose
+  // parent value disagrees with the assigned one.
+  sources_.resize(output_schema_.num_fields());
+  checks_.assign(relations_.size(), {});
+  std::vector<bool> assigned(output_schema_.num_fields(), false);
+  for (int r : graph_.tree_order()) {
+    const Relation& rel = *relations_[r];
+    for (size_t c = 0; c < rel.schema().num_fields(); ++c) {
+      const int out = output_schema_.FieldIndex(rel.schema().field(c).name);
+      SUJ_CHECK(out >= 0);
+      if (!assigned[out]) {
+        assigned[out] = true;
+        sources_[out] = FieldSource{static_cast<uint16_t>(r), rel.Column(c)};
+      } else {
+        checks_[r].push_back(
+            FieldCheck{rel.Column(c), static_cast<uint16_t>(out)});
+      }
+    }
+  }
 }
 
 bool JoinSpec::SatisfiesPredicates(const Tuple& tuple) const {
@@ -43,6 +86,45 @@ bool JoinSpec::SatisfiesPredicates(const Tuple& tuple) const {
     if (!p.EvalOnTuple(tuple, output_schema_)) return false;
   }
   return true;
+}
+
+bool JoinSpec::SatisfiesPredicates(const RowDraw& draw) const {
+  for (size_t i = 0; i < output_predicates_.size(); ++i) {
+    // A predicate on an attribute the schema lacks does not apply.
+    const int field = predicate_fields_[i];
+    if (field >= 0 && !output_predicates_[i].Eval(draw.Cell(field).ToValue())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool JoinSpec::PassesChecks(const uint32_t* rows) const {
+  for (size_t r = 0; r < checks_.size(); ++r) {
+    for (const FieldCheck& check : checks_[r]) {
+      const CellRef mine = check.column.At(rows[r]);
+      if (!mine.SameEncoding(Cell(rows, check.field)) ||
+          (mine.type == ValueType::kDouble && mine.d != mine.d)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+Tuple RowDraw::Materialize() const {
+  const size_t n = spec->output_schema().num_fields();
+  std::vector<Value> values;
+  values.reserve(n);
+  for (size_t f = 0; f < n; ++f) {
+    values.push_back(Cell(static_cast<int>(f)).ToValue());
+  }
+  return Tuple(std::move(values));
+}
+
+void RowDraw::EncodeTo(std::string* out) const {
+  const size_t n = spec->output_schema().num_fields();
+  for (size_t f = 0; f < n; ++f) Cell(static_cast<int>(f)).EncodeTo(out);
 }
 
 std::string JoinSpec::ToString() const {

@@ -1,5 +1,7 @@
 #include "join/membership.h"
 
+#include "common/logging.h"
+
 namespace suj {
 
 Result<std::shared_ptr<const JoinMembershipProber>>
@@ -39,12 +41,44 @@ bool JoinMembershipProber::Contains(const Tuple& output_tuple) const {
   return true;
 }
 
+bool JoinMembershipProber::Contains(const RowDraw& draw) const {
+  if (join_->has_predicates() && !join_->SatisfiesPredicates(draw)) {
+    return false;
+  }
+  for (size_t r = 0; r < indexes_.size(); ++r) {
+    const std::vector<int>& fields = projection_fields_[r];
+    if (!indexes_[r]->ContainsCells(
+            fields.size(), [&](size_t k) { return draw.Cell(fields[k]); })) {
+      return false;
+    }
+  }
+  return true;
+}
+
 int FirstOwner(const std::vector<JoinMembershipProberPtr>& probers,
                const Tuple& tuple) {
   for (size_t i = 0; i < probers.size(); ++i) {
     if (probers[i]->Contains(tuple)) return static_cast<int>(i);
   }
   return -1;
+}
+
+bool OwnedBy(const std::vector<JoinMembershipProberPtr>& probers,
+             const RowDraw& draw, int j) {
+  SUJ_DCHECK(probers[j]->Contains(draw));
+  for (int i = 0; i < j; ++i) {
+    if (probers[i]->Contains(draw)) return false;
+  }
+  return true;
+}
+
+bool OwnedBy(const std::vector<JoinMembershipProberPtr>& probers,
+             const Tuple& tuple, int j) {
+  SUJ_DCHECK(probers[j]->Contains(tuple));
+  for (int i = 0; i < j; ++i) {
+    if (probers[i]->Contains(tuple)) return false;
+  }
+  return true;
 }
 
 Result<std::vector<JoinMembershipProberPtr>> BuildProbers(

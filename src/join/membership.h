@@ -10,8 +10,16 @@
 // Each relation is probed through its RowMembershipIndex, a (hash tag, row
 // id) table over the relation's columns, reading t's values at the
 // relation's output-schema positions in place: a probe projects, encodes
-// and allocates nothing. Equality is encoding identity, so answers are
-// exactly those of a set of `Tuple::Encode()` strings.
+// and allocates nothing. t may be a Tuple or a row draw from any join of
+// the union, whose cells are read straight from the drawing join's
+// columns. Equality is encoding identity, so answers are exactly those of
+// a set of `Tuple::Encode()` strings.
+//
+// Cover ownership in the union samplers: a draw from J_j is kept iff j is
+// the FIRST join containing its value. It was drawn from J_j, and every
+// accepted draw is a member of its own join (JoinSampler::TrySampleRows),
+// so only J_0..J_{j-1} need probing (OwnedBy). The skipped self-probe was
+// the costliest one: every relation of J_j hits.
 
 #ifndef SUJ_JOIN_MEMBERSHIP_H_
 #define SUJ_JOIN_MEMBERSHIP_H_
@@ -36,6 +44,9 @@ class JoinMembershipProber {
   /// True iff `output_tuple` (over the join's output schema) is in the join
   /// result.
   bool Contains(const Tuple& output_tuple) const;
+  /// The same test for a draw from any union-compatible join, read from
+  /// its rows.
+  bool Contains(const RowDraw& draw) const;
 
   const JoinSpecPtr& join() const { return join_; }
 
@@ -60,8 +71,18 @@ Result<std::vector<JoinMembershipProberPtr>> BuildProbers(
 int FirstOwner(const std::vector<JoinMembershipProberPtr>& probers,
                const Tuple& tuple);
 
+/// Ownership of a draw from join `j`, which contains it: true iff no
+/// prober before `j` contains it (equivalently, FirstOwner == j). Probes
+/// only probers 0..j-1; audit builds (SUJ_DCHECK) also check that
+/// prober `j` contains the draw.
+bool OwnedBy(const std::vector<JoinMembershipProberPtr>& probers,
+             const RowDraw& draw, int j);
+bool OwnedBy(const std::vector<JoinMembershipProberPtr>& probers,
+             const Tuple& tuple, int j);
+
 /// \brief FirstOwner bound to a prober set the caller keeps alive and
 /// unchanged. Stateless: copying it or sharing it across threads is free.
+/// (The samplers themselves decide ownership with OwnedBy.)
 class OwnerOracle {
  public:
   explicit OwnerOracle(const std::vector<JoinMembershipProberPtr>* probers)

@@ -58,22 +58,6 @@ Result<std::unique_ptr<OlkenJoinSampler>> OlkenJoinSampler::Create(
   for (const Step& step : sampler->steps_) {
     if (step.source_pos < 0) sampler->columnar_ = false;
   }
-  if (sampler->columnar_) {
-    sampler->writes_.resize(order.size());
-    std::vector<bool> assigned(out_schema.num_fields(), false);
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      const Schema& rel_schema = join->relation(order[pos])->schema();
-      for (size_t c = 0; c < rel_schema.num_fields(); ++c) {
-        int out_idx = out_schema.FieldIndex(rel_schema.field(c).name);
-        SUJ_CHECK(out_idx >= 0);
-        if (!assigned[out_idx]) {
-          assigned[out_idx] = true;
-          sampler->writes_[pos].emplace_back(static_cast<uint16_t>(c),
-                                             static_cast<uint16_t>(out_idx));
-        }
-      }
-    }
-  }
   return sampler;
 }
 
@@ -84,7 +68,7 @@ bool OlkenJoinSampler::ApplyRow(int relation, uint32_t row,
   const Schema& out_schema = join_->output_schema();
   for (size_t c = 0; c < rel.schema().num_fields(); ++c) {
     int out_idx = out_schema.FieldIndex(rel.schema().field(c).name);
-    SUJ_DCHECK(out_idx >= 0);
+    SUJ_CHECK(out_idx >= 0);
     Value v = rel.GetValue(row, c);
     if ((*assigned)[out_idx]) {
       // Bound attributes always match by probe construction; a mismatch
@@ -98,101 +82,86 @@ bool OlkenJoinSampler::ApplyRow(int relation, uint32_t row,
   return true;
 }
 
-std::optional<Tuple> OlkenJoinSampler::TrySample(Rng& rng) {
+bool OlkenJoinSampler::TrySampleRows(Rng& rng, RowDraw* draw) {
   ++stats_.attempts;
   if (size_bound_ <= 0.0) {
     ++stats_.dead_ends;
-    return std::nullopt;
+    return false;
   }
-  return columnar_ ? TrySampleColumnar(rng) : TrySampleGeneric(rng);
+  double accept_prob = 1.0;
+  const bool walked = columnar_ ? WalkColumnar(rng, draw->rows, &accept_prob)
+                                : WalkGeneric(rng, draw->rows, &accept_prob);
+  if (!walked) {
+    ++stats_.dead_ends;
+    return false;
+  }
+  if (!rng.Bernoulli(accept_prob)) {
+    ++stats_.rejections;
+    return false;
+  }
+  // Every shared attribute was probed by its encoding, so the rows agree
+  // on it and the spec's first-assigner plan materializes the walk.
+  draw->spec = join_.get();
+  if (join_->has_predicates() && !join_->SatisfiesPredicates(*draw)) {
+    ++stats_.rejections;
+    return false;
+  }
+  ++stats_.successes;
+  return true;
 }
 
-std::optional<Tuple> OlkenJoinSampler::TrySampleColumnar(Rng& rng) {
+bool OlkenJoinSampler::WalkColumnar(Rng& rng, uint32_t* rows,
+                                    double* accept_prob) {
   const JoinSpec& spec = *join_;
   const auto& order = spec.graph().walk_order();
 
-  uint32_t chosen[64];
-  SUJ_CHECK(order.size() <= 64);
+  uint32_t chosen[kMaxJoinRelations];
   const RelationPtr& first = spec.relation(order[0]);
   chosen[0] = static_cast<uint32_t>(rng.UniformInt(first->num_rows()));
+  rows[order[0]] = chosen[0];
 
-  double accept_prob = 1.0;
   for (size_t pos = 1; pos < order.size(); ++pos) {
     const Step& step = steps_[pos - 1];
     const uint32_t g = (*step.probe)[chosen[step.source_pos]];
     const RowSpan candidates = step.index->GroupRows(g);
-    if (candidates.empty()) {
-      ++stats_.dead_ends;
-      return std::nullopt;
-    }
+    if (candidates.empty()) return false;
     chosen[pos] = candidates[rng.UniformInt(candidates.size())];
-    accept_prob *= static_cast<double>(candidates.size()) /
-                   static_cast<double>(step.max_degree);
+    rows[order[pos]] = chosen[pos];
+    *accept_prob *= static_cast<double>(candidates.size()) /
+                    static_cast<double>(step.max_degree);
   }
-
-  if (!rng.Bernoulli(accept_prob)) {
-    ++stats_.rejections;
-    return std::nullopt;
-  }
-  const Schema& out_schema = spec.output_schema();
-  std::vector<Value> assignment(out_schema.num_fields());
-  for (size_t pos = 0; pos < order.size(); ++pos) {
-    const Relation& rel = *spec.relation(order[pos]);
-    for (const auto& [col, out_idx] : writes_[pos]) {
-      assignment[out_idx] = rel.GetValue(chosen[pos], col);
-    }
-  }
-  Tuple out(std::move(assignment));
-  if (!spec.SatisfiesPredicates(out)) {
-    ++stats_.rejections;
-    return std::nullopt;
-  }
-  ++stats_.successes;
-  return out;
+  return true;
 }
 
-std::optional<Tuple> OlkenJoinSampler::TrySampleGeneric(Rng& rng) {
+bool OlkenJoinSampler::WalkGeneric(Rng& rng, uint32_t* rows,
+                                   double* accept_prob) {
   const JoinSpec& spec = *join_;
   const Schema& out_schema = spec.output_schema();
   const auto& order = spec.graph().walk_order();
 
+  // The walk probes by bound attribute values, so it tracks them.
   std::vector<Value> assignment(out_schema.num_fields());
   std::vector<bool> assigned(out_schema.num_fields(), false);
 
   const RelationPtr& first = spec.relation(order[0]);
-  uint32_t row0 = static_cast<uint32_t>(rng.UniformInt(first->num_rows()));
-  bool ok = ApplyRow(order[0], row0, &assignment, &assigned);
+  rows[order[0]] = static_cast<uint32_t>(rng.UniformInt(first->num_rows()));
+  bool ok = ApplyRow(order[0], rows[order[0]], &assignment, &assigned);
   SUJ_CHECK(ok);
 
-  double accept_prob = 1.0;
   for (const Step& step : steps_) {
     std::vector<Value> key_values;
     key_values.reserve(step.key_fields.size());
     for (int f : step.key_fields) key_values.push_back(assignment[f]);
     const RowSpan candidates =
         step.index->LookupEncoded(Tuple(std::move(key_values)).Encode());
-    if (candidates.empty()) {
-      ++stats_.dead_ends;
-      return std::nullopt;
-    }
-    uint32_t chosen = candidates[rng.UniformInt(candidates.size())];
-    accept_prob *= static_cast<double>(candidates.size()) /
-                   static_cast<double>(step.max_degree);
-    ok = ApplyRow(step.relation, chosen, &assignment, &assigned);
+    if (candidates.empty()) return false;
+    rows[step.relation] = candidates[rng.UniformInt(candidates.size())];
+    *accept_prob *= static_cast<double>(candidates.size()) /
+                    static_cast<double>(step.max_degree);
+    ok = ApplyRow(step.relation, rows[step.relation], &assignment, &assigned);
     SUJ_CHECK(ok);
   }
-
-  if (!rng.Bernoulli(accept_prob)) {
-    ++stats_.rejections;
-    return std::nullopt;
-  }
-  Tuple out(std::move(assignment));
-  if (!spec.SatisfiesPredicates(out)) {
-    ++stats_.rejections;
-    return std::nullopt;
-  }
-  ++stats_.successes;
-  return out;
+  return true;
 }
 
 }  // namespace suj

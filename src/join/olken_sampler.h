@@ -30,7 +30,7 @@ class OlkenJoinSampler : public JoinSampler {
   static Result<std::unique_ptr<OlkenJoinSampler>> Create(
       JoinSpecPtr join, CompositeIndexCache* cache);
 
-  std::optional<Tuple> TrySample(Rng& rng) override;
+  bool TrySampleRows(Rng& rng, RowDraw* draw) override;
 
   /// The extended Olken bound |R_w0| * prod M_i.
   double SizeUpperBound() const override { return size_bound_; }
@@ -57,12 +57,12 @@ class OlkenJoinSampler : public JoinSampler {
   bool ApplyRow(int relation, uint32_t row, std::vector<Value>* assignment,
                 std::vector<bool>* assigned) const;
 
-  std::optional<Tuple> TrySampleGeneric(Rng& rng);
-  std::optional<Tuple> TrySampleColumnar(Rng& rng);
+  // Both walks write the chosen row of each relation to `rows` (join()
+  // relation order) and return whether the walk reached the accept test.
+  bool WalkGeneric(Rng& rng, uint32_t* rows, double* accept_prob);
+  bool WalkColumnar(Rng& rng, uint32_t* rows, double* accept_prob);
 
   std::vector<Step> steps_;  // walk positions 1..m-1
-  // First-assigner materialization plan per walk position (columnar walk).
-  std::vector<std::vector<std::pair<uint16_t, uint16_t>>> writes_;
   bool columnar_ = false;
   double size_bound_ = 0.0;
 };

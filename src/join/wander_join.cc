@@ -54,26 +54,6 @@ Result<std::unique_ptr<WanderJoinSampler>> WanderJoinSampler::Create(
   for (const Step& step : sampler->steps_) {
     if (step.source_pos < 0) sampler->columnar_ = false;
   }
-  if (sampler->columnar_) {
-    // First-assigner materialization plan (walk order). The columnar walk
-    // picks all rows first and materializes once at the end; skipping
-    // non-first carriers is lossless because their shared attributes are
-    // probe-key-equal by construction.
-    sampler->writes_.resize(order.size());
-    std::vector<bool> assigned(out_schema.num_fields(), false);
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      const Schema& rel_schema = join->relation(order[pos])->schema();
-      for (size_t c = 0; c < rel_schema.num_fields(); ++c) {
-        int out_idx = out_schema.FieldIndex(rel_schema.field(c).name);
-        SUJ_CHECK(out_idx >= 0);
-        if (!assigned[out_idx]) {
-          assigned[out_idx] = true;
-          sampler->writes_[pos].emplace_back(static_cast<uint16_t>(c),
-                                             static_cast<uint16_t>(out_idx));
-        }
-      }
-    }
-  }
   return sampler;
 }
 
@@ -104,9 +84,10 @@ WalkOutcome WanderJoinSampler::WalkColumnarFrom(uint32_t root_row,
   const auto& order = spec.graph().walk_order();
 
   // Phase 1: choose rows through flat arrays only.
-  uint32_t chosen[64];
-  SUJ_CHECK(order.size() <= 64);
+  uint32_t chosen[kMaxJoinRelations];  // by walk position
+  uint32_t rows[kMaxJoinRelations];    // by relation
   chosen[0] = root_row;
+  rows[order[0]] = root_row;
   double probability = root_probability;
   for (size_t pos = 1; pos < order.size(); ++pos) {
     const Step& step = steps_[pos - 1];
@@ -114,22 +95,19 @@ WalkOutcome WanderJoinSampler::WalkColumnarFrom(uint32_t root_row,
     const RowSpan candidates = step.index->GroupRows(g);
     if (candidates.empty()) return outcome;  // dead end
     chosen[pos] = candidates[rng.UniformInt(candidates.size())];
+    rows[order[pos]] = chosen[pos];
     probability /= static_cast<double>(candidates.size());
   }
 
-  // Phase 2: materialize the completed walk.
-  const Schema& out_schema = spec.output_schema();
-  std::vector<Value> assignment(out_schema.num_fields());
-  for (size_t pos = 0; pos < order.size(); ++pos) {
-    const Relation& rel = *spec.relation(order[pos]);
-    for (const auto& [col, out_idx] : writes_[pos]) {
-      assignment[out_idx] = rel.GetValue(chosen[pos], col);
-    }
+  // Phase 2: materialize the completed walk. Every shared attribute was
+  // probed by its encoding, so the rows agree on it and the spec's
+  // first-assigner plan reads each output field once.
+  const RowDraw draw{&spec, rows};
+  if (spec.has_predicates() && !spec.SatisfiesPredicates(draw)) {
+    return outcome;  // predicate rejection
   }
-  Tuple out(std::move(assignment));
-  if (!spec.SatisfiesPredicates(out)) return outcome;  // predicate rejection
   outcome.success = true;
-  outcome.tuple = std::move(out);
+  outcome.tuple = draw.Materialize();
   outcome.probability = probability;
   ++num_successes_;
   return outcome;

@@ -90,10 +90,6 @@ class WanderJoinSampler {
                                Rng& rng);
 
   std::vector<Step> steps_;
-  // Materialization plan for the columnar walk: per walk position, the
-  // (relation column, output schema index) pairs that position writes as
-  // first assigner in walk order.
-  std::vector<std::vector<std::pair<uint16_t, uint16_t>>> writes_;
   bool columnar_ = false;
 };
 

@@ -385,6 +385,27 @@ std::string TupleChunk::Encode() const {
   return body;
 }
 
+std::string TupleChunk::EncodeSample(const SessionSample& sample) {
+  const size_t count = sample.size();
+  std::string body;
+  WireWriter w(&body);
+  w.PutU32(static_cast<uint32_t>(count));
+  for (size_t i = 0; i < count; ++i) {
+    const size_t at = body.size();
+    w.PutU32(0);  // the length, patched once the encoding is written
+    if (sample.tuples.empty()) {
+      sample.draws[i].EncodeTo(&body);
+    } else {
+      for (const Value& v : sample.tuples[i].values()) v.EncodeTo(&body);
+    }
+    const uint32_t len = static_cast<uint32_t>(body.size() - at - 4);
+    for (int b = 0; b < 4; ++b) body[at + b] = static_cast<char>(len >> (8 * b));
+    // Size the body from the first tuple; later growth is geometric.
+    if (i == 0) body.reserve(body.size() + (count - 1) * (len + 4) * 5 / 4);
+  }
+  return body;
+}
+
 Result<TupleChunk> TupleChunk::Decode(std::string_view body) {
   WireReader r(body);
   TupleChunk out;

@@ -246,6 +246,12 @@ struct TupleChunk {
 
   std::string Encode() const;
   static Result<TupleChunk> Decode(std::string_view body);
+
+  /// The body Encode() writes for the encodings of `sample`'s tuples,
+  /// with each encoding written once, in place, straight from its cells:
+  /// a draw's relation columns or a tuple's values. No per-tuple string
+  /// is built.
+  static std::string EncodeSample(const SessionSample& sample);
 };
 
 /// Per-session stats over the wire — the remote face of

@@ -400,20 +400,16 @@ Status SujServer::HandleSample(TcpConn& conn, const std::string& tenant,
   }();
   if (!quota.ok()) return SendStatus(conn, quota);
 
-  auto tuples = service_->Sample(
+  auto sample = service_->SampleDeferred(
       session_id, request.value().n,
       request.value().wait ? AdmitMode::kWait : AdmitMode::kReject);
-  if (!tuples.ok()) return SendStatus(conn, tuples.status());
+  if (!sample.ok()) return SendStatus(conn, sample.status());
 
   if (auto session = service_->sessions().Get(session_id); session.ok()) {
     session.value()->Touch(NowNs());
   }
-  TupleChunk chunk;
-  chunk.encoded_tuples.reserve(tuples.value().size());
-  for (const auto& t : tuples.value()) {
-    chunk.encoded_tuples.push_back(t.Encode());
-  }
-  Status written = WriteTimed(conn, MessageType::kSampleRsp, chunk.Encode());
+  Status written = WriteTimed(conn, MessageType::kSampleRsp,
+                              TupleChunk::EncodeSample(sample.value()));
   // The pre-check bounds only the smallest encoding. A larger response
   // was refused before any byte went out, so the connection is still in
   // sync for the error reply.
@@ -464,7 +460,7 @@ Status SujServer::HandleStreamSample(TcpConn& conn, const std::string& tenant,
     }
   };
   for (;;) {
-    auto batch = stream.value()->Next();
+    auto batch = stream.value()->NextDeferred();
     if (!batch.ok()) {
       // Mid-stream application error: report in StreamEnd; connection
       // stays usable.
@@ -472,12 +468,8 @@ Status SujServer::HandleStreamSample(TcpConn& conn, const std::string& tenant,
                         StatusPayload::FromStatus(batch.status()).Encode());
     }
     if (batch.value().empty()) break;  // exhausted
-    TupleChunk chunk;
-    chunk.encoded_tuples.reserve(batch.value().size());
-    for (const auto& t : batch.value()) {
-      chunk.encoded_tuples.push_back(t.Encode());
-    }
-    Status io = WriteTimed(conn, MessageType::kStreamChunk, chunk.Encode());
+    Status io = WriteTimed(conn, MessageType::kStreamChunk,
+                           TupleChunk::EncodeSample(batch.value()));
     if (!io.ok()) {
       stream.value()->Cancel();  // consumer is gone or chunk too large
       if (io.code() != StatusCode::kInvalidArgument) return io;

@@ -84,10 +84,15 @@ void SampleStream::ProducerLoop() {
 }
 
 Result<std::vector<Tuple>> SampleStream::Next() {
+  SUJ_ASSIGN_OR_RETURN(SessionSample chunk, NextDeferred());
+  return std::move(chunk).ToTuples();
+}
+
+Result<SessionSample> SampleStream::NextDeferred() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [&] { return !ready_.empty() || finished_; });
   if (!ready_.empty()) {
-    std::vector<Tuple> chunk = std::move(ready_.front());
+    SessionSample chunk = std::move(ready_.front());
     ready_.pop_front();
     cv_.notify_all();  // frees a buffer slot for the producer
     return chunk;
@@ -96,7 +101,7 @@ Result<std::vector<Tuple>> SampleStream::Next() {
   if (cancelled_.load()) {
     return Status::FailedPrecondition("stream was cancelled");
   }
-  return std::vector<Tuple>();  // clean end of stream
+  return SessionSample();  // clean end of stream
 }
 
 void SampleStream::Cancel() {
@@ -222,6 +227,14 @@ Result<SessionStatsSnapshot> SamplingService::SessionStats(
 
 Result<std::vector<Tuple>> SamplingService::Sample(uint64_t session_id,
                                                    size_t n, AdmitMode mode) {
+  SUJ_ASSIGN_OR_RETURN(SessionSample sample,
+                       SampleDeferred(session_id, n, mode));
+  return std::move(sample).ToTuples();
+}
+
+Result<SessionSample> SamplingService::SampleDeferred(uint64_t session_id,
+                                                      size_t n,
+                                                      AdmitMode mode) {
   // The session shared_ptr is snapshotted up front: a concurrent
   // CloseSession then only drops the manager's reference. Admission
   // happens inside the session's serialization (see SamplingSession).

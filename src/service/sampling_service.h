@@ -64,6 +64,8 @@ class SampleStream {
   /// Next chunk in order. Blocks while the producer is behind. An empty
   /// vector means the stream is exhausted; errors are sticky.
   Result<std::vector<Tuple>> Next();
+  /// Next, left as the session's sampler produced it (SessionSample).
+  Result<SessionSample> NextDeferred();
 
   /// Stops production; buffered chunks are dropped. Interrupts a
   /// producer parked in the admission queue (it abandons its FIFO
@@ -91,7 +93,7 @@ class SampleStream {
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::vector<Tuple>> ready_;
+  std::deque<SessionSample> ready_;
   size_t produced_ = 0;
   bool finished_ = false;   ///< producer exited (done, error, or cancel)
   /// Atomic so the producer's admission wait can poll it lock-free.
@@ -159,6 +161,11 @@ class SamplingService {
   /// Draws `n` tuples on the session, admission-gated per `mode`.
   Result<std::vector<Tuple>> Sample(uint64_t session_id, size_t n,
                                     AdmitMode mode = AdmitMode::kWait);
+  /// Sample, left as the session's sampler produced it: oracle sessions
+  /// return row draws, so a caller that only writes bytes never builds a
+  /// Tuple.
+  Result<SessionSample> SampleDeferred(uint64_t session_id, size_t n,
+                                       AdmitMode mode = AdmitMode::kWait);
 
   /// Starts chunked streaming delivery of `total` tuples. The stream
   /// holds the session alive; closing the session or evicting the query

@@ -106,7 +106,11 @@ Status SamplingSession::EnsureSampler() {
   return Status::OK();
 }
 
-Result<std::vector<Tuple>> SamplingSession::SampleLocked(size_t n) {
+std::vector<Tuple> SessionSample::ToTuples() && {
+  return tuples.empty() ? draws.Materialize() : std::move(tuples);
+}
+
+Result<SessionSample> SamplingSession::SampleLocked(size_t n) {
   if (plan_->shards() != nullptr) {
     // Every request and every stream chunk passes through here, so a
     // shard failing mid-stream surfaces as kUnavailable on the next
@@ -120,26 +124,42 @@ Result<std::vector<Tuple>> SamplingSession::SampleLocked(size_t n) {
           "suj_service_sample_ns", obs::Histogram::DefaultLatencyBoundsNs());
   const int64_t start_ns = obs::MonotonicNs();
   obs::ScopedSpan walk_span(obs::Stage::kWalk);
-  auto result = options_.mode == SessionOptions::Mode::kOnline
-                    ? online_sampler_->Sample(n, rng_)
-                : options_.mode == SessionOptions::Mode::kRevision
-                    ? union_sampler_->Sample(n, rng_, *revision_state_)
-                    : union_sampler_->Sample(n, rng_);
+  SessionSample result;
+  const Status sampled = [&]() -> Status {
+    switch (options_.mode) {
+      case SessionOptions::Mode::kOnline: {
+        SUJ_ASSIGN_OR_RETURN(result.tuples, online_sampler_->Sample(n, rng_));
+        return Status::OK();
+      }
+      case SessionOptions::Mode::kRevision: {
+        SUJ_ASSIGN_OR_RETURN(
+            result.tuples, union_sampler_->Sample(n, rng_, *revision_state_));
+        return Status::OK();
+      }
+      case SessionOptions::Mode::kOracle: {
+        SUJ_ASSIGN_OR_RETURN(result.draws,
+                             union_sampler_->SampleDraws(n, rng_));
+        return Status::OK();
+      }
+    }
+    return Status::Internal("unknown session mode");
+  }();
   sample_ns->Observe(
       static_cast<uint64_t>(obs::MonotonicNs() - start_ns));
-  if (!result.ok()) return result.status();
+  SUJ_RETURN_NOT_OK(sampled);
   ++requests_;
-  tuples_delivered_ += result->size();
+  tuples_delivered_ += result.size();
   UpdateStatsSnapshot();
   return result;
 }
 
 Result<std::vector<Tuple>> SamplingSession::Sample(size_t n) {
   std::lock_guard<std::mutex> lock(mu_);
-  return SampleLocked(n);
+  SUJ_ASSIGN_OR_RETURN(SessionSample sample, SampleLocked(n));
+  return std::move(sample).ToTuples();
 }
 
-Result<std::vector<Tuple>> SamplingSession::Sample(
+Result<SessionSample> SamplingSession::Sample(
     size_t n, AdmissionController& admission, AdmitMode mode,
     const std::atomic<bool>* cancelled) {
   auto is_cancelled = [&] {

@@ -87,6 +87,22 @@ struct SessionOptions {
   uint64_t backtrack_interval = 0;
 };
 
+/// \brief One request's sample as the session's sampler produced it.
+///
+/// Oracle sessions deliver row draws that no Tuple has been built for
+/// (the server writes their bytes straight from the columns); revision
+/// and online sessions deliver tuples. Exactly one of the two is filled.
+/// The draws hold the plan's specs, so they outlive the session.
+struct SessionSample {
+  RowDrawBatch draws;
+  std::vector<Tuple> tuples;
+
+  size_t size() const { return draws.size() + tuples.size(); }
+  bool empty() const { return size() == 0; }
+  /// The sample as tuples, in order.
+  std::vector<Tuple> ToTuples() &&;
+};
+
 /// Cumulative accounting for one session.
 struct SessionStatsSnapshot {
   uint64_t session_id = 0;
@@ -125,7 +141,7 @@ class SamplingSession {
   /// concurrent calls on one session run one at a time.
   Result<std::vector<Tuple>> Sample(size_t n);
 
-  /// Same, admission-gated. The permit is taken AFTER this session's
+  /// Same, admission-gated, and left as the sampler produced it. The permit is taken AFTER this session's
   /// turn comes up (inside the serialization mutex), so a request that
   /// is merely queued behind its own session's previous request never
   /// occupies an admission slot — one slow session cannot starve the
@@ -136,10 +152,9 @@ class SamplingSession {
   /// aborts a kWait admission wait (after AdmissionController::
   /// CancelWake) and skips sampling once set — stream teardown uses it
   /// so no work is done for a result nobody will read.
-  Result<std::vector<Tuple>> Sample(size_t n, AdmissionController& admission,
-                                    AdmitMode mode,
-                                    const std::atomic<bool>* cancelled =
-                                        nullptr);
+  Result<SessionSample> Sample(size_t n, AdmissionController& admission,
+                               AdmitMode mode,
+                               const std::atomic<bool>* cancelled = nullptr);
 
   /// Never blocks on an in-flight request: returns the snapshot taken
   /// when the last request completed (monitoring must keep working
@@ -175,7 +190,7 @@ class SamplingSession {
   Status EnsureSampler();
 
   /// The shared protocol body of both Sample overloads (mu_ held).
-  Result<std::vector<Tuple>> SampleLocked(size_t n);
+  Result<SessionSample> SampleLocked(size_t n);
 
   /// Refreshes stats_snapshot_ from the live sampler (mu_ held).
   void UpdateStatsSnapshot();

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/trace.h"
 
 namespace suj {
 
@@ -81,45 +80,51 @@ Result<std::unique_ptr<ShardedJoinSampler>> ShardedJoinSampler::Create(
     if (!inner.ok()) return inner.status();
     sampler->shard_samplers_.push_back(std::move(inner).value());
   }
+  sampler->unflushed_draws_.assign(k, 0);
   sampler->draw_counters_ = ShardCounters("suj_shard_draws_total_s", k);
   sampler->total_draws_ =
       obs::MetricsRegistry::Global().GetCounter("suj_shard_draws_total");
-  sampler->latency_ns_.reserve(k);
-  for (int s = 0; s < k; ++s) {
-    sampler->latency_ns_.push_back(obs::MetricsRegistry::Global().GetHistogram(
-        "suj_shard_sample_ns_s" + std::to_string(s),
-        obs::Histogram::DefaultLatencyBoundsNs()));
-  }
   return sampler;
 }
 
-std::optional<Tuple> ShardedJoinSampler::TrySample(Rng& rng) {
+bool ShardedJoinSampler::TrySampleRows(Rng& rng, RowDraw* draw) {
   ++stats_.attempts;
   if (index_->TotalWeight() <= 0.0) {
     ++stats_.dead_ends;
-    return std::nullopt;
+    return false;
   }
-  const bool timed = obs::MetricsEnabled();
-  const int64_t start_ns = timed ? obs::MonotonicNs() : 0;
   // Same root draw as the unsharded sampler over the canonical join: the
   // alias tables are built from identical weights.
+  const uint64_t global = index_->root_alias().Sample(rng);
   uint32_t local = 0;
-  const int s = index_->RouteRow(index_->root_alias().Sample(rng), &local);
+  const int s = index_->RouteRow(global, &local);
   ExactWeightSampler& inner = *shard_samplers_[s];
   const JoinSampleStats& inner_stats = inner.stats();
   const uint64_t dead0 = inner_stats.dead_ends;
   const uint64_t rej0 = inner_stats.rejections;
-  std::optional<Tuple> out = inner.DescendColumnar(local, rng);
+  const bool accepted = inner.DescendColumnar(local, rng, draw->rows);
   stats_.dead_ends += inner_stats.dead_ends - dead0;
   stats_.rejections += inner_stats.rejections - rej0;
-  if (out.has_value()) ++stats_.successes;
-  draw_counters_[s]->Increment();
-  total_draws_->Increment();
-  if (timed) {
-    latency_ns_[s]->Observe(
-        static_cast<uint64_t>(obs::MonotonicNs() - start_ns));
+  ++unflushed_draws_[s];
+  if (!accepted) return false;
+  ++stats_.successes;
+  // The shard's root slice is canonical rows [row_begin[s], ...) and every
+  // other relation is the canonical one, so the canonical draw differs
+  // only in its root row.
+  draw->rows[index_->join_plan().root] = static_cast<uint32_t>(global);
+  draw->spec = join_.get();
+  return true;
+}
+
+void ShardedJoinSampler::FlushMetrics() {
+  uint64_t total = 0;
+  for (size_t s = 0; s < unflushed_draws_.size(); ++s) {
+    if (unflushed_draws_[s] == 0) continue;
+    draw_counters_[s]->Increment(unflushed_draws_[s]);
+    total += unflushed_draws_[s];
+    unflushed_draws_[s] = 0;
   }
-  return out;
+  if (total > 0) total_draws_->Increment(total);
 }
 
 Result<std::unique_ptr<ShardedWanderJoinSampler>>

@@ -11,9 +11,11 @@
 // around the existing descent entry points (ExactWeightSampler::
 // DescendColumnar, WanderJoinSampler::WalkFromRoot), consuming the
 // caller's RNG identically to their unsharded counterparts; the union
-// protocol cannot tell them apart byte-for-byte. Membership probes need
-// no routing: sharded plans probe the canonical joins with plain
-// JoinMembershipProbers.
+// protocol cannot tell them apart byte-for-byte. A routed draw leaves as
+// a row draw over the CANONICAL spec (the shard-local root row offset
+// back to its canonical row; every other relation is shared), so
+// membership probes and materialization need no routing either: sharded
+// plans probe the canonical joins with plain JoinMembershipProbers.
 
 #ifndef SUJ_SHARD_SHARDED_JOIN_H_
 #define SUJ_SHARD_SHARDED_JOIN_H_
@@ -87,8 +89,15 @@ class ShardedJoinSampler : public JoinSampler {
   static Result<std::unique_ptr<ShardedJoinSampler>> Create(
       ShardedJoinIndexPtr index);
 
-  std::optional<Tuple> TrySample(Rng& rng) override;
+  ~ShardedJoinSampler() override { FlushMetrics(); }
+
+  bool TrySampleRows(Rng& rng, RowDraw* draw) override;
   double SizeUpperBound() const override { return index_->TotalWeight(); }
+
+  /// Adds the draws routed since the last flush to suj_shard_draws_total
+  /// and its per-shard suj_shard_draws_total_s<k> counters. The draw loop
+  /// only tallies them locally.
+  void FlushMetrics() override;
 
   const ShardedJoinIndexPtr& shard_index() const { return index_; }
 
@@ -99,9 +108,9 @@ class ShardedJoinSampler : public JoinSampler {
   ShardedJoinIndexPtr index_;
   /// One sampler per shard; each descends below the routed root row.
   std::vector<std::unique_ptr<ExactWeightSampler>> shard_samplers_;
+  std::vector<uint64_t> unflushed_draws_;        // per shard
   std::vector<obs::Counter*> draw_counters_;     // suj_shard_draws_total_s<k>
   obs::Counter* total_draws_ = nullptr;          // suj_shard_draws_total
-  std::vector<obs::Histogram*> latency_ns_;      // suj_shard_sample_ns_s<k>
 };
 
 /// \brief Wander-join walker that routes the uniform root draw by row

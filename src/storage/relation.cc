@@ -13,7 +13,7 @@ Relation::Relation(std::string name, Schema schema)
 }
 
 Value Relation::GetValue(size_t row, size_t col) const {
-  SUJ_DCHECK(row < num_rows_ && col < schema_.num_fields());
+  SUJ_CHECK(row < num_rows_ && col < schema_.num_fields());
   switch (schema_.field(col).type) {
     case ValueType::kInt64:
       return Value::Int64(int_cols_[col][row]);
@@ -26,17 +26,17 @@ Value Relation::GetValue(size_t row, size_t col) const {
 }
 
 int64_t Relation::GetInt64(size_t row, size_t col) const {
-  SUJ_DCHECK(schema_.field(col).type == ValueType::kInt64);
+  SUJ_CHECK(schema_.field(col).type == ValueType::kInt64);
   return int_cols_[col][row];
 }
 
 double Relation::GetDouble(size_t row, size_t col) const {
-  SUJ_DCHECK(schema_.field(col).type == ValueType::kDouble);
+  SUJ_CHECK(schema_.field(col).type == ValueType::kDouble);
   return double_cols_[col][row];
 }
 
 const std::string& Relation::GetString(size_t row, size_t col) const {
-  SUJ_DCHECK(schema_.field(col).type == ValueType::kString);
+  SUJ_CHECK(schema_.field(col).type == ValueType::kString);
   return string_cols_[col][row];
 }
 
@@ -58,18 +58,35 @@ Tuple Relation::ProjectRow(size_t row, const std::vector<int>& cols) const {
   return Tuple(std::move(values));
 }
 
+ColumnRef Relation::Column(size_t col) const {
+  ColumnRef c;
+  c.type = schema_.field(col).type;
+  switch (c.type) {
+    case ValueType::kInt64:
+      c.ints = int_cols_[col].data();
+      break;
+    case ValueType::kDouble:
+      c.doubles = double_cols_[col].data();
+      break;
+    case ValueType::kString:
+      c.strings = string_cols_[col].data();
+      break;
+  }
+  return c;
+}
+
 const std::vector<int64_t>& Relation::Int64Column(size_t col) const {
-  SUJ_DCHECK(schema_.field(col).type == ValueType::kInt64);
+  SUJ_CHECK(schema_.field(col).type == ValueType::kInt64);
   return int_cols_[col];
 }
 
 const std::vector<double>& Relation::DoubleColumn(size_t col) const {
-  SUJ_DCHECK(schema_.field(col).type == ValueType::kDouble);
+  SUJ_CHECK(schema_.field(col).type == ValueType::kDouble);
   return double_cols_[col];
 }
 
 const std::vector<std::string>& Relation::StringColumn(size_t col) const {
-  SUJ_DCHECK(schema_.field(col).type == ValueType::kString);
+  SUJ_CHECK(schema_.field(col).type == ValueType::kString);
   return string_cols_[col];
 }
 

@@ -17,6 +17,32 @@
 
 namespace suj {
 
+/// \brief One column's typed storage, for reading cells in place. Only the
+/// pointer matching `type` is set; the relation keeps the storage alive.
+struct ColumnRef {
+  ValueType type = ValueType::kInt64;
+  const int64_t* ints = nullptr;
+  const double* doubles = nullptr;
+  const std::string* strings = nullptr;
+
+  CellRef At(size_t row) const {
+    CellRef c;
+    c.type = type;
+    switch (type) {
+      case ValueType::kInt64:
+        c.i = ints[row];
+        break;
+      case ValueType::kDouble:
+        c.d = doubles[row];
+        break;
+      case ValueType::kString:
+        c.s = &strings[row];
+        break;
+    }
+    return c;
+  }
+};
+
 /// \brief An immutable, named, columnar table.
 ///
 /// Build with RelationBuilder; once built, Relations are shared read-only
@@ -41,6 +67,9 @@ class Relation {
 
   /// Materializes the projection of row `row` onto the given column indices.
   Tuple ProjectRow(size_t row, const std::vector<int>& cols) const;
+
+  /// Column `col`'s storage, typed by its schema field.
+  ColumnRef Column(size_t col) const;
 
   /// Raw column storage (used by histogram/index builds for fast scans).
   const std::vector<int64_t>& Int64Column(size_t col) const;

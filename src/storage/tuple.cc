@@ -23,14 +23,14 @@ Tuple Tuple::Project(const std::vector<int>& indices) const {
   std::vector<Value> out;
   out.reserve(indices.size());
   for (int i : indices) {
-    SUJ_DCHECK(i >= 0 && static_cast<size_t>(i) < values_.size());
+    SUJ_CHECK(i >= 0 && static_cast<size_t>(i) < values_.size());
     out.push_back(values_[i]);
   }
   return Tuple(std::move(out));
 }
 
 Tuple Tuple::MapToSchema(const Schema& from, const Schema& to) const {
-  SUJ_DCHECK(values_.size() == from.num_fields());
+  SUJ_CHECK(values_.size() == from.num_fields());
   std::vector<Value> out;
   out.reserve(to.num_fields());
   for (const auto& f : to.fields()) {

@@ -72,26 +72,42 @@ uint64_t Value::Hash() const {
 }
 
 void Value::EncodeTo(std::string* out) const {
-  out->push_back(static_cast<char>(type_));
-  switch (type_) {
+  CellRef::Of(*this).EncodeTo(out);
+}
+
+Value CellRef::ToValue() const {
+  switch (type) {
+    case ValueType::kInt64:
+      return Value::Int64(i);
+    case ValueType::kDouble:
+      return Value::Double(d);
+    case ValueType::kString:
+      return Value::String(*s);
+  }
+  return Value();
+}
+
+void CellRef::EncodeTo(std::string* out) const {
+  out->push_back(static_cast<char>(type));
+  switch (type) {
     case ValueType::kInt64: {
       char buf[8];
-      std::memcpy(buf, &int_, 8);
+      std::memcpy(buf, &i, 8);
       out->append(buf, 8);
       break;
     }
     case ValueType::kDouble: {
       char buf[8];
-      std::memcpy(buf, &double_, 8);
+      std::memcpy(buf, &d, 8);
       out->append(buf, 8);
       break;
     }
     case ValueType::kString: {
-      uint32_t len = static_cast<uint32_t>(string_.size());
+      uint32_t len = static_cast<uint32_t>(s->size());
       char buf[4];
       std::memcpy(buf, &len, 4);
       out->append(buf, 4);
-      out->append(string_);
+      out->append(*s);
       break;
     }
   }

@@ -9,6 +9,7 @@
 #define SUJ_STORAGE_VALUE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace suj {
@@ -72,6 +73,43 @@ class Value {
   int64_t int_;
   double double_;
   std::string string_;
+};
+
+/// \brief A typed cell read in place: a Value's payload or one cell of a
+/// relation column, with any string borrowed (it must outlive the
+/// reference). Encodes exactly as the Value it stands for; its equality
+/// is encoding identity.
+struct CellRef {
+  ValueType type = ValueType::kInt64;
+  int64_t i = 0;
+  double d = 0.0;
+  const std::string* s = nullptr;
+
+  static CellRef Of(const Value& v) {
+    return CellRef{v.type(), v.int64(), v.dbl(), &v.str()};
+  }
+
+  /// An owning copy.
+  Value ToValue() const;
+
+  /// Appends the bytes Value::EncodeTo appends for the same value.
+  void EncodeTo(std::string* out) const;
+
+  /// True iff both cells encode to the same bytes: the same type, int64
+  /// and double payloads bitwise equal (so -0.0 differs from 0.0 and NaNs
+  /// with equal payloads match), strings byte for byte.
+  bool SameEncoding(const CellRef& other) const {
+    if (type != other.type) return false;
+    switch (type) {
+      case ValueType::kInt64:
+        return i == other.i;
+      case ValueType::kDouble:
+        return std::memcmp(&d, &other.d, sizeof(d)) == 0;
+      case ValueType::kString:
+        return *s == *other.s;
+    }
+    return false;
+  }
 };
 
 /// Hasher for unordered containers keyed by Value.
