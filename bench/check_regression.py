@@ -20,6 +20,10 @@ so --max-median additionally bounds the median ratio (default 3.0, a loose
 absolute backstop against whole-suite regressions that survives slow CI
 hardware; tighten it when baseline and runner match).
 
+Thread-scaling rows (``Parallel/N``, ``RevisionParallel/N``, ``Sharded/N``
+with N > 1) measure the host's cores as much as the code, so they are
+refused, not compared, when the two runs' ``context.num_cpus`` differ.
+
 Exit codes: 0 clean, 1 regression(s), 2 usage/data error.
 """
 
@@ -30,6 +34,20 @@ import sys
 
 # google-benchmark time units per nanosecond.
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+# Benchmarks whose N-thread time depends on how many cores run them.
+_THREAD_SCALING = re.compile(r"(?:Parallel|Sharded)/(\d+)")
+
+
+def thread_scaling(name):
+    match = _THREAD_SCALING.search(name)
+    return match is not None and int(match.group(1)) > 1
+
+
+def load_num_cpus(path):
+    """The run's context.num_cpus, or None when it was not recorded."""
+    with open(path) as f:
+        return json.load(f).get("context", {}).get("num_cpus")
 
 
 def load_times(path):
@@ -178,6 +196,19 @@ def main():
                 current.pop(name, None)
             if dropped:
                 print(f"excluded by --exclude: {', '.join(dropped)}")
+
+        base_cpus = load_num_cpus(args.baseline)
+        cur_cpus = load_num_cpus(args.current)
+        if (base_cpus is not None and cur_cpus is not None
+                and base_cpus != cur_cpus):
+            refused = sorted(n for n in set(baseline) | set(current)
+                             if thread_scaling(n))
+            for name in refused:
+                baseline.pop(name, None)
+                current.pop(name, None)
+            if refused:
+                print(f"refused (num_cpus baseline {base_cpus}, current "
+                      f"{cur_cpus}): {', '.join(refused)}")
 
         common = sorted(set(baseline) & set(current))
         missing = sorted(set(baseline) - set(current))

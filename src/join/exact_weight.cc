@@ -180,7 +180,8 @@ bool ExactWeightSampler::Accept(uint32_t* rows) {
     ++stats_.rejections;  // non-tree constraint violated (cyclic join)
     return false;
   }
-  if (spec.has_predicates() && !spec.SatisfiesPredicates(RowDraw{&spec, rows})) {
+  if (spec.has_predicates() &&
+      !spec.SatisfiesPredicates(RowDraw{&spec, rows})) {
     ++stats_.rejections;
     return false;
   }

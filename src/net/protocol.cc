@@ -399,7 +399,9 @@ std::string TupleChunk::EncodeSample(const SessionSample& sample) {
       for (const Value& v : sample.tuples[i].values()) v.EncodeTo(&body);
     }
     const uint32_t len = static_cast<uint32_t>(body.size() - at - 4);
-    for (int b = 0; b < 4; ++b) body[at + b] = static_cast<char>(len >> (8 * b));
+    for (int b = 0; b < 4; ++b) {
+      body[at + b] = static_cast<char>(len >> (8 * b));
+    }
     // Size the body from the first tuple; later growth is geometric.
     if (i == 0) body.reserve(body.size() + (count - 1) * (len + 4) * 5 / 4);
   }

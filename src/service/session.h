@@ -141,7 +141,8 @@ class SamplingSession {
   /// concurrent calls on one session run one at a time.
   Result<std::vector<Tuple>> Sample(size_t n);
 
-  /// Same, admission-gated, and left as the sampler produced it. The permit is taken AFTER this session's
+  /// Same, admission-gated, and left as the sampler produced it
+  /// (SessionSample). The permit is taken AFTER this session's
   /// turn comes up (inside the serialization mutex), so a request that
   /// is merely queued behind its own session's previous request never
   /// occupies an admission slot — one slow session cannot starve the

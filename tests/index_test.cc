@@ -378,6 +378,45 @@ TEST(RowMembershipIndexTest, EncodingIdentityNotValueEquality) {
   EXPECT_FALSE((*index)->Contains(Tuple({Value::Double(0.0)})));
 }
 
+// Probes whose cells are read straight from another relation's columns
+// (how a row draw probes) answer exactly as the same values in a Tuple,
+// through the random pools' -0.0, NaN-payload and type-mismatch cases.
+TEST(RowMembershipIndexTest, ColumnCellProbesAnswerAsTupleProbes) {
+  const std::vector<std::string> attrs = {"i", "d", "s", "j"};
+  for (uint64_t seed = 11; seed <= 13; ++seed) {
+    RelationPtr rel = RandomMixedRelation(seed, 200);
+    auto index = RowMembershipIndex::Build(rel, attrs);
+    ASSERT_TRUE(index.ok());
+    const auto reference = EncodedProjections(*rel, attrs);
+    Rng rng(seed * 31);
+    size_t hits = 0;
+    for (int p = 0; p < 1000; ++p) {
+      // Half the probes are rows of the indexed relation, so they hit.
+      const Tuple probe =
+          rng.Bernoulli(0.5)
+              ? rel->ProjectRow(rng.UniformInt(rel->num_rows()), {0, 1, 2, 3})
+              : RandomProbe(*rel, attrs, rng);
+      // A one-row relation typed by the probe's own values.
+      std::vector<Field> fields;
+      for (size_t k = 0; k < probe.size(); ++k) {
+        fields.push_back({"c" + std::to_string(k), probe.value(k).type()});
+      }
+      RelationBuilder builder("probe", Schema(fields));
+      ASSERT_TRUE(builder.AppendTuple(probe).ok());
+      const RelationPtr source = builder.Finish();
+      const bool expected = reference.count(probe.Encode()) > 0;
+      hits += expected;
+      EXPECT_EQ((*index)->ContainsCells(
+                    probe.size(),
+                    [&](size_t k) { return source->Column(k).At(0); }),
+                expected)
+          << probe.ToString();
+      EXPECT_EQ((*index)->Contains(probe), expected);
+    }
+    EXPECT_GT(hits, 0u);
+  }
+}
+
 TEST(RowMembershipIndexTest, EmptyRelationAndEmptyProjection) {
   auto empty = MakeRelation("e", {"a", "b"}, {}).value();
   auto index = RowMembershipIndex::Build(empty, {"a", "b"});
